@@ -52,14 +52,15 @@ struct BenchEntry {
     /// Simulated operations retired per wall-clock second at that speed.
     ops_per_sec: f64,
     /// Largest simultaneous event-queue occupancy seen across the sweep's
-    /// radix heaps.  `None` in entries measured before self-profiling landed.
+    /// queues.  `None` in entries measured before self-profiling landed.
     #[serde(skip_serializing_if = "Option::is_none")]
     heap_max_len: Option<u64>,
-    /// Total bucket redistributions performed by the sweep's radix heaps.
+    /// Total bucket redistributions performed by the sweep's queues: non-zero
+    /// only in entries measured with the former radix heap, 0 since the
+    /// queue became a flat array.
     #[serde(skip_serializing_if = "Option::is_none")]
     heap_redistributions: Option<u64>,
-    /// Total superseded-slot replacements absorbed by the sweep's radix
-    /// heaps.
+    /// Total superseded-slot replacements absorbed by the sweep's queues.
     #[serde(skip_serializing_if = "Option::is_none")]
     heap_supersessions: Option<u64>,
 }
@@ -214,9 +215,9 @@ fn fleet_service_total_ops() -> u64 {
     total
 }
 
-/// Aggregates the radix-heap self-profile over one single-threaded sweep of
-/// `grid`: max occupancy, bucket redistributions, and superseded-slot
-/// replacements summed across every simulation point.  Runs outside the
+/// Aggregates the event-queue self-profile over one single-threaded sweep
+/// of `grid`: max occupancy and superseded-slot replacements summed across
+/// every simulation point.  Runs outside the
 /// timed iterations so harvesting never skews the wall-clock numbers.
 fn heap_profile(grid: &GridSpec) -> QueueProfile {
     let options = SweepOptions {

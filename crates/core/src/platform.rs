@@ -354,7 +354,7 @@ impl Platform for MispPlatform {
         if seq == oms {
             // Local Ring 3 -> Ring 0 transition on the OS-managed sequencer.
             core.stats_mut().record_event(seq, kind, true);
-            core.log_event_with(seq, LogKind::RingEnter, || kind.to_string());
+            core.log_event(seq, LogKind::RingEnter);
             // Privileged code displaces the servicing sequencer's L1 — the
             // same charge the SMP baseline pays for its local services, so
             // cache-enabled cross-machine comparisons stay unbiased.  (No-op
@@ -363,13 +363,13 @@ impl Platform for MispPlatform {
             self.serialize_processor(core, proc_idx, None, now, priv_time);
             let resume = now + priv_time;
             self.oms_busy_until[proc_idx] = self.oms_busy_until[proc_idx].max(resume);
-            core.log_event_with(seq, LogKind::RingExit, || kind.to_string());
+            core.log_event(seq, LogKind::RingExit);
             resume
         } else {
             // Fault on an application-managed sequencer: proxy execution.
             core.stats_mut().record_event(seq, kind, false);
             core.stats_mut().proxy_executions += 1;
-            core.log_event_with(seq, LogKind::ProxyRequest, || kind.to_string());
+            core.log_event(seq, LogKind::ProxyRequest);
             let fabric = self.fabric.as_mut().expect("platform initialized");
             fabric.send(seq, oms, SignalKind::ProxyRequest, now);
 
@@ -385,7 +385,7 @@ impl Platform for MispPlatform {
 
             let start = (now + signal).max(self.oms_busy_until[proc_idx]);
             let oms_done = start + costs.yield_transfer + signal * 2 + priv_time;
-            core.log_event_with(oms, LogKind::ProxyStart, || kind.to_string());
+            core.log_event(oms, LogKind::ProxyStart);
             // The proxy episode runs privileged code on the OMS on the AMS's
             // behalf, displacing the OMS's own working set from its L1 —
             // the same per-service charge as a local Ring 0 entry.  (No-op
@@ -407,7 +407,7 @@ impl Platform for MispPlatform {
                 SignalKind::ProxyComplete,
                 oms_done.saturating_sub(signal),
             );
-            core.log_event_with(oms, LogKind::ProxyDone, || kind.to_string());
+            core.log_event(oms, LogKind::ProxyDone);
             // The faulting shred resumes once its context has been handed back
             // (Equation 2 plus the privileged service time).
             oms_done
@@ -418,7 +418,7 @@ impl Platform for MispPlatform {
         let proc_idx = self.processor_index(cpu);
         let oms = self.topology.processors()[proc_idx].oms();
         debug_assert_eq!(cpu, oms, "timer ticks are delivered to OMSs only");
-        core.log_event_with(oms, LogKind::TimerTick, || format!("tick {tick}"));
+        core.log_event(oms, LogKind::TimerTick);
         core.stats_mut().record_event(oms, OsEventKind::Timer, true);
         core.kernel_mut().record_event(OsEventKind::Timer);
         let mut priv_time = core.kernel().service_cost(OsEventKind::Timer);
@@ -440,7 +440,7 @@ impl Platform for MispPlatform {
         if let Some((prev, next)) = switch {
             priv_time += core.kernel().context_switch_cost(ams_count);
             core.stats_mut().context_switches += 1;
-            core.log_event_with(oms, LogKind::ContextSwitch, || format!("{prev} -> {next}"));
+            core.log_event(oms, LogKind::ContextSwitch);
             self.evict_thread(core, proc_idx, prev, now);
             let signal = core.costs().signal_cycles();
             let oms_at = now + priv_time;
@@ -471,21 +471,13 @@ impl Platform for MispPlatform {
     ) -> Cycles {
         let from_proc = self.processor_index(from);
         let Some(target_proc) = self.topology.processor_index_of(target) else {
-            core.log_event(
-                from,
-                LogKind::SignalSent,
-                format!("invalid target {target}"),
-            );
+            core.log_event(from, LogKind::SignalSent);
             return now;
         };
         if from_proc != target_proc {
             // SIDs are local to the MISP processor (Section 2.4); a
             // cross-processor SIGNAL is ignored, as unknown SIDs would be.
-            core.log_event(
-                from,
-                LogKind::SignalSent,
-                format!("cross-processor signal to {target} dropped"),
-            );
+            core.log_event(from, LogKind::SignalSent);
             return now;
         }
         let arrival = self.fabric.as_mut().expect("platform initialized").send(

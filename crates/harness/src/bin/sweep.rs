@@ -457,7 +457,6 @@ fn main() -> ExitCode {
         eprintln!("  pushes           {:>14}", queue.pushes);
         eprintln!("  pops             {:>14}", queue.pops);
         eprintln!("  max occupancy    {:>14}", queue.max_len);
-        eprintln!("  redistributions  {:>14}", queue.redistributions);
         eprintln!("  supersessions    {:>14}", queue.supersessions);
         eprintln!("profile: allocator (whole process)");
         eprintln!(

@@ -24,15 +24,18 @@ pub struct SimConfig {
     /// Hard limit on simulated time; exceeding it aborts the run with
     /// [`misp_types::MispError::CycleBudgetExhausted`].
     pub cycle_budget: Cycles,
-    /// Whether to retain fine-grained event-log records.
+    /// Whether each MISP processor's signal fabric keeps its history of
+    /// sent signals (`SignalFabric::enable_history`).  That is its only
+    /// effect: time-stamped per-event records come from the trace ring
+    /// (`trace`), and the event log always keeps coarse counts only.
     pub fine_log: bool,
     /// Enable the macro-step fast path: the engine executes an uninterrupted
     /// run of local operations inline, advancing per-operation time, instead
     /// of round-tripping through the event queue after every operation.
     /// Results are byte-identical either way (statistics, completion times
-    /// and event-log digests); disabling it merely forces the slower
-    /// event-per-operation loop, which the determinism property tests use as
-    /// the reference.  On by default.
+    /// and event-log digests).  The event-per-operation loop (`false`)
+    /// exists only as the oracle for the macro-step equivalence tests; it is
+    /// not a product mode.  On by default.
     pub batch: bool,
     /// Observability configuration: the structured trace ring and the
     /// interval metrics sampler.  Fully off by default; when off the engine

@@ -45,8 +45,7 @@ impl EngineCore {
     /// Creates the core for a machine with `sequencer_count` sequencers.
     #[must_use]
     pub fn new(config: SimConfig, sequencer_count: usize, library: ProgramLibrary) -> Self {
-        let mut log = EventLog::new(config.fine_log);
-        log.set_cap(EventLog::DEFAULT_CAP);
+        let mut log = EventLog::new();
         if config.trace.enabled {
             // The whole ring is allocated here, before the run starts, so an
             // enabled trace preserves the zero-alloc steady state.
@@ -171,18 +170,10 @@ impl EngineCore {
         &self.log
     }
 
-    /// Records an event in the log.
-    pub fn log_event(&mut self, seq: SequencerId, kind: LogKind, detail: impl Into<String>) {
+    /// Records an event in the log at the current time.
+    pub fn log_event(&mut self, seq: SequencerId, kind: LogKind) {
         let now = self.now;
-        self.log.record(now, seq, kind, detail);
-    }
-
-    /// Records an event in the log, building the detail text lazily (only
-    /// when fine-grained logging will retain it).  Prefer this on hot paths
-    /// whose detail requires formatting.
-    pub fn log_event_with<F: FnOnce() -> String>(&mut self, seq: SequencerId, kind: LogKind, f: F) {
-        let now = self.now;
-        self.log.record_with(now, seq, kind, f);
+        self.log.record(now, seq, kind);
     }
 
     /// The program referenced by `r`, if it exists in the library.
@@ -221,9 +212,7 @@ impl EngineCore {
         );
         let id = self.shreds.create(process, thread, prog, now);
         self.log
-            .record_with(now, SequencerId::new(0), LogKind::ShredStart, || {
-                format!("created {id}")
-            });
+            .record(now, SequencerId::new(0), LogKind::ShredStart);
         id
     }
 
@@ -333,7 +322,7 @@ impl EngineCore {
     pub fn suspend(&mut self, seq: SequencerId, now: Cycles) {
         if !self.sequencers.is_suspended(seq) {
             self.sequencers.suspend(seq, now);
-            self.log.record(now, seq, LogKind::Suspend, "");
+            self.log.record(now, seq, LogKind::Suspend);
         }
         self.sequencers.set_stall_end(seq, None);
     }
@@ -343,7 +332,7 @@ impl EngineCore {
     pub fn resume(&mut self, seq: SequencerId, at: Cycles) {
         if let Some(remaining) = self.sequencers.clear_suspension(seq) {
             let resume_at = at + remaining;
-            self.log.record(at, seq, LogKind::Resume, "");
+            self.log.record(at, seq, LogKind::Resume);
             self.schedule_ready(seq, resume_at);
         }
     }
@@ -389,7 +378,7 @@ impl EngineCore {
                     .clear_suspension(seq)
                     .expect("just suspended");
                 debug_assert_eq!(captured, rem);
-                self.log.record(until, seq, LogKind::Resume, "");
+                self.log.record(until, seq, LogKind::Resume);
                 self.schedule_ready(seq, until + captured);
                 return;
             }
@@ -412,7 +401,7 @@ impl EngineCore {
         let lost = until - now;
         self.sequencers.add_stalled(seq, lost);
         self.stats.suspension_cycles += lost;
-        self.log.record(now, seq, LogKind::Suspend, "timed stall");
+        self.log.record(now, seq, LogKind::Suspend);
     }
 
     /// Merges a stall request into an already-suspended sequencer's state:
@@ -775,7 +764,7 @@ mod tests {
     fn log_event_records_with_current_time() {
         let mut core = core_with(1, 1);
         core.set_now(Cycles::new(77));
-        core.log_event(SequencerId::new(0), LogKind::RingEnter, "syscall");
+        core.log_event(SequencerId::new(0), LogKind::RingEnter);
         assert_eq!(core.log().count(LogKind::RingEnter), 1);
     }
 }

@@ -82,12 +82,9 @@ impl PartialOrd for ScheduledEvent {
 }
 
 /// Marks the absence of a queue position in the slot index.
-const NO_POS: u64 = u64::MAX;
+const NO_POS: u32 = u32::MAX;
 /// Marks an event kind that has no replacement slot.
 const NO_SLOT: u32 = u32::MAX;
-/// One bucket per possible length of the common bit-prefix with `last`
-/// (64-bit keys ⇒ prefix lengths 0..=64 ⇒ 65 buckets).
-const BUCKETS: usize = 65;
 
 /// A deterministic time-ordered event queue.
 ///
@@ -103,68 +100,46 @@ const BUCKETS: usize = 65;
 /// formally unspecified; merging both into one structure under one key makes
 /// the order a definition rather than a coincidence of scan order.)
 ///
-/// # Monotone radix heap
+/// # Flat layout
+///
+/// The engine keeps at most one live `SeqReady` and one live stall window per
+/// sequencer plus one tick per OS-visible CPU, so the queue stays tiny: its
+/// peak occupancy is 24 entries on every benchmark workload.  At that size
+/// an unordered vector with a cached minimum is cheap to scan, and
+/// superseding an entry is a plain overwrite:
+///
+/// * Push appends (or overwrites a superseded entry in place) and compares
+///   the new entry against the cached minimum.
+/// * Pop `swap_remove`s the cached minimum and rescans the remaining live
+///   entries for the next one.
+/// * `peek` (the macro-step batching horizon) is an indexed read.
 ///
 /// Simulation time never goes backwards: every push is at a time `>=` the
-/// last popped event's time (asserted).  That monotonicity admits a *radix
-/// heap* — cheaper than a comparison heap because entries are only examined
-/// when time actually advances past them:
-///
-/// * `last` is the time of the most recently popped event; every queued
-///   entry's time is `>= last`.
-/// * Entry `t` lives in bucket `64 - leading_zeros(t XOR last)`: bucket 0
-///   holds entries with `t == last` (due now), bucket `b >= 1` holds entries
-///   whose highest bit of difference from `last` is bit `b - 1`.  Buckets are
-///   ordered: every entry in a lower bucket precedes every entry in a higher
-///   one, so the global minimum always lives in the first non-empty bucket.
-/// * Push appends to the entry's bucket: O(1), no sifting.
-/// * Pop removes the minimum from the first non-empty bucket `b`.  When
-///   `b > 0`, time advances (`last` becomes the popped time) and the
-///   remaining entries of bucket `b` are redistributed; each lands in a
-///   strictly lower bucket (their prefix agreement with the new `last`
-///   strictly grows), which is what bounds the total redistribution work —
-///   each entry can only move down through the 65 buckets, giving O(64)
-///   amortized moves per entry instead of O(log n) comparisons per
-///   operation.  Entries in buckets other than `b` are untouched: `last`
-///   only changes in bits below their differing bit, so their bucket index
-///   is unchanged.
-///
-/// The earliest entry is cached, making `peek` (the macro-step batching
-/// horizon) a field read.
+/// last popped event's time (asserted).
 ///
 /// # Supersede slot index
 ///
 /// The queue is *indexed* for the two event kinds the engine supersedes:
 /// each sequencer has at most one live `SeqReady` (a reschedule invalidates
 /// the previous one) and at most one live stall window.  `pos` maps each
-/// slot (`2 * sequencer + kind_bit`) to the bucket and in-bucket index of its
-/// live entry.  Pushing a new event for an occupied slot removes the
-/// superseded entry and inserts the successor under its own fresh
-/// `(time, seqno)` key — exactly the key it would have had as a separate
-/// push — so live events pop in the identical order while stale traffic
-/// disappears.  Removal restores the slot to `NO_POS` before the successor
-/// claims it (asserted), so a stale position can never alias a live entry.
+/// slot (`2 * sequencer + kind_bit`) to the index of its live entry.  Pushing
+/// a new event for an occupied slot overwrites the superseded entry in place
+/// with the successor under its own fresh `(time, seqno)` key — exactly the
+/// key it would have had as a separate push — so live events pop in the
+/// identical order while stale traffic disappears.
 #[derive(Debug)]
 pub struct EventQueue {
-    /// `buckets[b]` holds entries whose common bit-prefix with `last` is
-    /// `64 - b` bits long; order within a bucket is arbitrary.
-    buckets: Vec<Vec<ScheduledEvent>>,
-    /// Bit `b` set iff `buckets[b]` is non-empty (`trailing_zeros` finds the
-    /// first non-empty bucket in one instruction).
-    occupied: u128,
-    /// Queue position of each slot's live entry, packed as
-    /// `(bucket << 32) | in-bucket index`, or `NO_POS` when absent; indexed
-    /// by `2 * sequencer + kind_bit`, see [`EventQueue::slot_of`].
-    pos: Vec<u64>,
-    /// Cached copy of the earliest entry (the minimum `(time, seqno)`).
-    min: Option<ScheduledEvent>,
+    /// The live entries, in no particular order.
+    entries: Vec<ScheduledEvent>,
+    /// Index into `entries` of each slot's live entry, or `NO_POS` when
+    /// absent; indexed by `2 * sequencer + kind_bit`, see
+    /// [`EventQueue::slot_of`].
+    pos: Vec<u32>,
+    /// Index into `entries` of the minimum `(time, seqno)` entry; meaningful
+    /// only while `entries` is non-empty.
+    min: usize,
     /// Time of the most recently popped event; the floor for every push.
     last: u64,
-    /// Scratch space for bucket redistribution, retained across pops so the
-    /// steady-state step path never allocates.
-    scratch: Vec<ScheduledEvent>,
-    /// Number of queued entries.
-    len: usize,
     next_seqno: u64,
     /// Always-on self-profiling counters (plain integer adds on paths that
     /// already write adjacent fields); read out via [`EventQueue::profile`].
@@ -177,28 +152,15 @@ impl Default for EventQueue {
     }
 }
 
-#[inline]
-fn pack(bucket: usize, idx: usize) -> u64 {
-    ((bucket as u64) << 32) | idx as u64
-}
-
-#[inline]
-fn unpack(p: u64) -> (usize, usize) {
-    ((p >> 32) as usize, (p & u32::MAX as u64) as usize)
-}
-
 impl EventQueue {
     /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
         EventQueue {
-            buckets: (0..BUCKETS).map(|_| Vec::new()).collect(),
-            occupied: 0,
+            entries: Vec::new(),
             pos: Vec::new(),
-            min: None,
+            min: 0,
             last: 0,
-            scratch: Vec::new(),
-            len: 0,
             next_seqno: 0,
             profile: QueueProfile::default(),
         }
@@ -207,12 +169,6 @@ impl EventQueue {
     #[inline]
     fn precedes(a: &ScheduledEvent, b: &ScheduledEvent) -> bool {
         (a.time, a.seqno) < (b.time, b.seqno)
-    }
-
-    /// The bucket `time` lives in, relative to the current `last`.
-    #[inline]
-    fn bucket_index(&self, time: Cycles) -> usize {
-        (64 - (time.as_u64() ^ self.last).leading_zeros()) as usize
     }
 
     /// The replacement slot of an event: `SeqReady` and `StallEnd` events are
@@ -227,72 +183,33 @@ impl EventQueue {
         }
     }
 
-    /// Records `(bucket, idx)` as the position of `event`'s slot, if any.
+    /// Records `idx` as the position of `event`'s slot, if it has one.
     #[inline]
-    fn note_pos(&mut self, event: &Event, bucket: usize, idx: usize) {
+    fn note_pos(&mut self, event: &Event, idx: usize) {
         let slot = Self::slot_of(event);
         if slot != NO_SLOT {
-            self.pos[slot as usize] = pack(bucket, idx);
+            self.pos[slot as usize] = idx as u32;
         }
     }
 
-    /// Appends `ev` to its bucket, maintaining the slot index and occupancy
-    /// mask.  Does not touch `len` or the cached minimum.
-    #[inline]
+    /// Points `min` at the earliest live entry by a linear scan.
     // lint: no-alloc
-    fn place(&mut self, ev: ScheduledEvent) {
-        let b = self.bucket_index(ev.time);
-        let idx = self.buckets[b].len();
-        self.buckets[b].push(ev);
-        self.occupied |= 1 << b;
-        self.note_pos(&ev.event, b, idx);
-    }
-
-    /// Removes and returns the entry at `(bucket, idx)`, fixing up the slot
-    /// index for both the removed entry and the entry `swap_remove` moved
-    /// into its place.
-    // lint: no-alloc
-    fn remove_at(&mut self, bucket: usize, idx: usize) -> ScheduledEvent {
-        let removed = self.buckets[bucket].swap_remove(idx);
-        let slot = Self::slot_of(&removed.event);
-        if slot != NO_SLOT {
-            self.pos[slot as usize] = NO_POS;
-        }
-        if idx < self.buckets[bucket].len() {
-            let moved = self.buckets[bucket][idx];
-            self.note_pos(&moved.event, bucket, idx);
-        }
-        if self.buckets[bucket].is_empty() {
-            self.occupied &= !(1u128 << bucket);
-        }
-        self.len -= 1;
-        removed
-    }
-
-    /// The minimum `(time, seqno)` entry, found by scanning the first
-    /// non-empty bucket (buckets are ordered by time, so the minimum cannot
-    /// live anywhere else).
-    // lint: no-alloc
-    fn scan_min(&self) -> Option<ScheduledEvent> {
-        if self.occupied == 0 {
-            return None;
-        }
-        let b = self.occupied.trailing_zeros() as usize;
-        let mut best = self.buckets[b][0];
-        for e in &self.buckets[b][1..] {
-            if Self::precedes(e, &best) {
-                best = *e;
+    fn rescan_min(&mut self) {
+        let mut best = 0;
+        for (i, e) in self.entries.iter().enumerate().skip(1) {
+            if Self::precedes(e, &self.entries[best]) {
+                best = i;
             }
         }
-        Some(best)
+        self.min = best;
     }
 
     /// Schedules `event` at absolute time `time`.
     ///
     /// # Panics
     ///
-    /// Panics if `time` precedes the most recently popped event's time: the
-    /// radix layout relies on simulation time being monotone non-decreasing.
+    /// Panics if `time` precedes the most recently popped event's time:
+    /// simulation time is monotone non-decreasing.
     // lint: no-alloc
     pub fn push(&mut self, time: Cycles, event: Event) {
         assert!(
@@ -300,110 +217,85 @@ impl EventQueue {
             "event at {time} scheduled before already-popped time {}",
             self.last
         );
-        let seqno = self.next_seqno;
+        let ev = ScheduledEvent {
+            time,
+            seqno: self.next_seqno,
+            event,
+        };
         self.next_seqno += 1;
+        self.profile.pushes += 1;
         let slot = Self::slot_of(&event);
-        let mut lost_min = false;
         if slot != NO_SLOT {
             if slot as usize >= self.pos.len() {
                 self.pos.resize(slot as usize + 1, NO_POS);
             }
             let p = self.pos[slot as usize];
             if p != NO_POS {
+                // Supersede: the queued entry for this slot can never fire
+                // (the engine would discard it on pop), so the successor
+                // takes its place under its own fresh key.
                 self.profile.supersessions += 1;
-                // Supersede: drop the queued entry for this slot (it can
-                // never fire — the engine would discard it on pop) and let
-                // the successor claim the slot under its own fresh key.
-                let (b, i) = unpack(p);
-                let removed = self.remove_at(b, i);
-                debug_assert_eq!(Self::slot_of(&removed.event), slot);
-                assert_eq!(
-                    self.pos[slot as usize], NO_POS,
-                    "superseded slot must be cleared before its successor lands"
-                );
-                if self.min == Some(removed) {
-                    lost_min = true;
+                let i = p as usize;
+                self.entries[i] = ev;
+                if i == self.min {
+                    // The minimum may have moved later: find the new one.
+                    self.rescan_min();
+                } else if Self::precedes(&ev, &self.entries[self.min]) {
+                    self.min = i;
                 }
+                return;
             }
         }
-        let ev = ScheduledEvent { time, seqno, event };
-        self.place(ev);
-        self.len += 1;
-        self.profile.pushes += 1;
-        self.profile.max_len = self.profile.max_len.max(self.len as u64);
-        if lost_min {
-            // The superseded entry was the cached minimum; recompute from
-            // the (possibly different) first non-empty bucket.
-            self.min = self.scan_min();
-        } else if self.min.is_none_or(|m| Self::precedes(&ev, &m)) {
-            self.min = Some(ev);
+        let i = self.entries.len();
+        self.entries.push(ev);
+        self.note_pos(&event, i);
+        if i == 0 || Self::precedes(&ev, &self.entries[self.min]) {
+            self.min = i;
         }
+        self.profile.max_len = self.profile.max_len.max(self.entries.len() as u64);
     }
 
     /// Removes and returns the earliest event (minimum `(time, seqno)`).
     // lint: no-alloc
     pub fn pop(&mut self) -> Option<ScheduledEvent> {
-        let m = self.min?;
-        let b = self.bucket_index(m.time);
-        // Locate the minimum inside its bucket: O(1) via the slot index for
-        // superseded kinds, a scan for unique seqno otherwise.
-        let slot = Self::slot_of(&m.event);
-        let idx = if slot != NO_SLOT {
-            unpack(self.pos[slot as usize]).1
-        } else {
-            self.buckets[b]
-                .iter()
-                .position(|e| e.seqno == m.seqno)
-                .expect("cached minimum must be queued")
-        };
-        let popped = self.remove_at(b, idx);
-        debug_assert_eq!(popped, m);
-        self.profile.pops += 1;
-        if b != 0 {
-            // Time advances: re-anchor the radix layout on the popped time
-            // and redistribute the minimum's former bucket.  Each remaining
-            // entry agrees with the new `last` on strictly more leading bits
-            // than it did with the old one (both share the old prefix up to
-            // bit b-1, and the entry agrees with the popped minimum at bit
-            // b-1 too), so each lands in a strictly lower bucket.  All other
-            // buckets are unaffected.
-            self.last = m.time.as_u64();
-            if !self.buckets[b].is_empty() {
-                std::mem::swap(&mut self.buckets[b], &mut self.scratch);
-                self.occupied &= !(1u128 << b);
-                self.profile.redistributions += self.scratch.len() as u64;
-                for i in 0..self.scratch.len() {
-                    let ev = self.scratch[i];
-                    debug_assert!(self.bucket_index(ev.time) < b);
-                    self.place(ev);
-                }
-                self.scratch.clear();
-            }
+        if self.entries.is_empty() {
+            return None;
         }
-        self.min = self.scan_min();
+        let popped = self.entries.swap_remove(self.min);
+        let slot = Self::slot_of(&popped.event);
+        if slot != NO_SLOT {
+            self.pos[slot as usize] = NO_POS;
+        }
+        if let Some(moved) = self.entries.get(self.min).copied() {
+            self.note_pos(&moved.event, self.min);
+        }
+        self.last = popped.time.as_u64();
+        self.rescan_min();
+        self.profile.pops += 1;
         Some(popped)
     }
 
     /// Peeks at the earliest event without removing it.
     #[must_use]
     pub fn peek(&self) -> Option<&ScheduledEvent> {
-        self.min.as_ref()
+        self.entries.get(self.min)
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// Returns `true` when no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
     /// Self-profiling counters accumulated so far: pushes, pops, high-water
-    /// occupancy, redistribution moves and superseded-slot replacements.
+    /// occupancy and superseded-slot replacements (`redistributions` is
+    /// always 0: the flat layout has no buckets to redistribute).
     ///
     /// These describe the *simulator's* data structure, not the simulation:
     /// they are deterministic for a fixed configuration but differ between
@@ -520,9 +412,9 @@ mod tests {
     #[test]
     fn supersede_keeps_slot_index_coherent_under_churn() {
         // Regression for slot-index staleness: supersede entries repeatedly,
-        // interleaved with unrelated traffic that forces bucket compaction
-        // (swap_remove) and redistribution, then verify the queue still pops
-        // exactly the live set in `(time, seqno)` order.
+        // interleaved with unrelated traffic that forces `swap_remove` to
+        // move entries, then verify the queue still pops exactly the live
+        // set in `(time, seqno)` order.
         let mut q = EventQueue::new();
         let mut now = 0u64;
         let mut expected: Vec<u64> = Vec::new();
@@ -562,8 +454,7 @@ mod tests {
 
     #[test]
     fn monotone_pop_across_wide_time_range() {
-        // Exercise refills across many radix buckets: times spanning from
-        // single cycles up past 2^40.
+        // Times spanning from single cycles up past 2^40.
         let mut q = EventQueue::new();
         let mut times: Vec<u64> = (0..60).map(|i| 1u64 << i).collect();
         times.extend([3, 5, 1000, 999_999, (1 << 40) + 12345]);
@@ -588,19 +479,7 @@ mod tests {
         assert_eq!(p.pops, 2, "the superseded entry is never popped");
         assert_eq!(p.supersessions, 1);
         assert_eq!(p.max_len, 2);
-    }
-
-    #[test]
-    fn profile_counts_redistribution_moves() {
-        // Two entries far from `last` share a high bucket; popping the first
-        // advances time and must redistribute the second downward.
-        let mut q = EventQueue::new();
-        q.push(Cycles::new(1 << 20), tick(0, 1));
-        q.push(Cycles::new((1 << 20) + 1), tick(0, 2));
-        q.pop();
-        assert_eq!(q.profile().redistributions, 1);
-        q.pop();
-        assert_eq!(q.profile().pops, 2);
+        assert_eq!(p.redistributions, 0, "the flat queue has no buckets");
     }
 
     #[test]

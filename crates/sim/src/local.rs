@@ -89,14 +89,14 @@ impl Platform for LocalPlatform {
     ) -> Cycles {
         core.stats_mut().record_event(seq, kind, true);
         core.kernel_mut().record_event(kind);
-        core.log_event_with(seq, LogKind::RingEnter, || kind.to_string());
+        core.log_event(seq, LogKind::RingEnter);
         let service = core.kernel().service_cost(kind);
-        core.log_event_with(seq, LogKind::RingExit, || kind.to_string());
+        core.log_event(seq, LogKind::RingExit);
         now + service
     }
 
     fn on_timer_tick(&mut self, core: &mut EngineCore, cpu: SequencerId, tick: u64, now: Cycles) {
-        core.log_event_with(cpu, LogKind::TimerTick, || format!("tick {tick}"));
+        core.log_event(cpu, LogKind::TimerTick);
         core.stats_mut().record_event(cpu, OsEventKind::Timer, true);
         core.kernel_mut().record_event(OsEventKind::Timer);
         let mut service = core.kernel().service_cost(OsEventKind::Timer);

@@ -3,12 +3,12 @@
 //! The paper's prototype firmware provides two logging levels (Section 4.1):
 //! coarse-grained total counts of ring transitions per sequencer, and
 //! fine-grained time-stamped records of individual events.  [`EventLog`]
-//! reproduces both so that experiments and tests can introspect exactly what
-//! the simulated platform did.
+//! keeps the coarse counts and hosts the fine level as the structured
+//! [`TraceBuffer`] ring (off by default), so experiments and tests can
+//! introspect exactly what the simulated platform did.
 
-use core::fmt;
 use misp_trace::{TraceBuffer, TraceEvent, TraceKind};
-use misp_types::{Cycles, SequencerId};
+use misp_types::{Cycles, Fnv64, SequencerId};
 use serde::Serialize;
 
 /// The kind of a logged event.
@@ -110,42 +110,12 @@ impl LogKind {
     }
 }
 
-/// One fine-grained log record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct LogRecord {
-    /// Simulation time of the event.
-    pub time: Cycles,
-    /// The sequencer concerned.
-    pub seq: SequencerId,
-    /// The event kind.
-    pub kind: LogKind,
-    /// Free-form detail.
-    pub detail: String,
-}
-
-impl fmt::Display for LogRecord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "[{:>12}] {} {:?} {}",
-            self.time.as_u64(),
-            self.seq,
-            self.kind,
-            self.detail
-        )
-    }
-}
-
 /// The simulation event log.
 ///
-/// Coarse counts are always collected; fine-grained records are only kept when
-/// enabled (they can grow large) and are capped to protect memory.
-#[derive(Debug, Clone)]
+/// Coarse counts are always collected; time-stamped per-event records go to
+/// the trace ring, which is only present when tracing is enabled.
+#[derive(Debug, Clone, Default)]
 pub struct EventLog {
-    fine_enabled: bool,
-    cap: usize,
-    records: Vec<LogRecord>,
-    dropped: u64,
     /// Coarse per-kind counts, indexed by [`LogKind::canonical_index`].  A
     /// plain array keeps the hot `record` path free of hashing.
     counts: [u64; LogKind::ALL.len()],
@@ -157,26 +127,10 @@ pub struct EventLog {
 }
 
 impl EventLog {
-    /// Default cap on the number of fine-grained records retained.
-    pub const DEFAULT_CAP: usize = 100_000;
-
-    /// Creates a log.  `fine_enabled` controls whether individual records are
-    /// retained.
+    /// Creates a log with zero counts and tracing off.
     #[must_use]
-    pub fn new(fine_enabled: bool) -> Self {
-        EventLog {
-            fine_enabled,
-            cap: Self::DEFAULT_CAP,
-            records: Vec::new(),
-            dropped: 0,
-            counts: [0; LogKind::ALL.len()],
-            trace: None,
-        }
-    }
-
-    /// Overrides the fine-grained record cap.
-    pub fn set_cap(&mut self, cap: usize) {
-        self.cap = cap;
+    pub fn new() -> Self {
+        EventLog::default()
     }
 
     /// Turns on the structured trace ring with the given capacity.  The full
@@ -193,8 +147,8 @@ impl EventLog {
     }
 
     /// Records a trace-only instant (e.g. a TLB or cache miss) that has no
-    /// coarse-log counterpart: the coarse counts, fine records and
-    /// [`EventLog::digest`] are untouched.  A no-op while tracing is off.
+    /// coarse-log counterpart: the coarse counts and [`EventLog::digest`]
+    /// are untouched.  A no-op while tracing is off.
     pub fn trace_instant(&mut self, time: Cycles, seq: SequencerId, kind: TraceKind) {
         if let Some(trace) = &mut self.trace {
             trace.push(TraceEvent {
@@ -210,27 +164,9 @@ impl EventLog {
         self.trace.take()
     }
 
-    /// Records an event.
-    pub fn record(
-        &mut self,
-        time: Cycles,
-        seq: SequencerId,
-        kind: LogKind,
-        detail: impl Into<String>,
-    ) {
-        self.record_with(time, seq, kind, || detail.into());
-    }
-
-    /// Records an event, building the detail text only if it will actually be
-    /// retained (fine-grained logging enabled and the cap not reached).  Hot
-    /// paths use this to keep the coarse-count-only mode allocation-free.
-    pub fn record_with<F: FnOnce() -> String>(
-        &mut self,
-        time: Cycles,
-        seq: SequencerId,
-        kind: LogKind,
-        detail: F,
-    ) {
+    /// Records an event: bumps its coarse count and, while tracing is on,
+    /// appends a time-stamped record to the trace ring.
+    pub fn record(&mut self, time: Cycles, seq: SequencerId, kind: LogKind) {
         self.counts[kind.canonical_index()] += 1;
         if let Some(trace) = &mut self.trace {
             trace.push(TraceEvent {
@@ -238,18 +174,6 @@ impl EventLog {
                 seq: seq.index(),
                 kind: kind.trace_kind(),
             });
-        }
-        if self.fine_enabled {
-            if self.records.len() < self.cap {
-                self.records.push(LogRecord {
-                    time,
-                    seq,
-                    kind,
-                    detail: detail(),
-                });
-            } else {
-                self.dropped += 1;
-            }
         }
     }
 
@@ -259,67 +183,26 @@ impl EventLog {
         self.counts[kind.canonical_index()]
     }
 
-    /// The retained fine-grained records, in insertion (time) order.
-    #[must_use]
-    pub fn records(&self) -> &[LogRecord] {
-        &self.records
-    }
-
-    /// Number of fine-grained records dropped because the cap was reached.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Returns `true` when fine-grained recording is enabled.
-    #[must_use]
-    pub fn fine_enabled(&self) -> bool {
-        self.fine_enabled
-    }
-
     /// A deterministic 64-bit FNV-1a digest of the log.
     ///
     /// The digest folds the coarse counts in the canonical [`LogKind::ALL`]
-    /// order, followed by every retained fine-grained record (time,
-    /// sequencer, kind and detail text) and the dropped count.  Two
-    /// identical runs always digest equal; runs that differ in any logged
-    /// quantity digest differently, up to the usual 64-bit collision odds —
-    /// and, with fine logging disabled, up to the coarse counts' resolution
-    /// (per-kind totals rather than individual records).
+    /// order, followed by one trailing `0`.  Two identical runs always
+    /// digest equal; runs that differ in any per-kind total digest
+    /// differently, up to the usual 64-bit collision odds.  The trace ring
+    /// never contributes.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn fold_bytes(hash: &mut u64, bytes: &[u8]) {
-            for &byte in bytes {
-                *hash ^= u64::from(byte);
-                *hash = hash.wrapping_mul(FNV_PRIME);
-            }
-        }
-        fn fold(hash: &mut u64, value: u64) {
-            fold_bytes(hash, &value.to_le_bytes());
-        }
-
-        let mut hash = FNV_OFFSET;
+        let mut hash = Fnv64::new();
         for (i, kind) in LogKind::ALL.iter().enumerate() {
-            fold(&mut hash, i as u64);
-            fold(&mut hash, self.count(*kind));
+            hash.write_u64(i as u64);
+            hash.write_u64(self.count(*kind));
         }
-        for record in &self.records {
-            fold(&mut hash, record.time.as_u64());
-            fold(&mut hash, record.seq.as_usize() as u64);
-            fold(&mut hash, record.kind.canonical_index() as u64);
-            fold(&mut hash, record.detail.len() as u64);
-            fold_bytes(&mut hash, record.detail.as_bytes());
-        }
-        fold(&mut hash, self.dropped);
-        hash
-    }
-}
-
-impl Default for EventLog {
-    fn default() -> Self {
-        EventLog::new(false)
+        // The log used to keep capped fine-grained records and folded their
+        // dropped count last; it was always 0 in digest-bearing runs.  Keep
+        // folding that 0 so every committed golden and determinism digest
+        // stays byte-identical.
+        hash.write_u64(0);
+        hash.finish()
     }
 }
 
@@ -329,52 +212,13 @@ mod tests {
 
     #[test]
     fn coarse_counts_always_collected() {
-        let mut log = EventLog::new(false);
-        log.record(Cycles::new(1), SequencerId::new(0), LogKind::RingEnter, "");
-        log.record(Cycles::new(2), SequencerId::new(0), LogKind::RingEnter, "");
-        log.record(
-            Cycles::new(3),
-            SequencerId::new(1),
-            LogKind::ProxyRequest,
-            "pf",
-        );
+        let mut log = EventLog::new();
+        log.record(Cycles::new(1), SequencerId::new(0), LogKind::RingEnter);
+        log.record(Cycles::new(2), SequencerId::new(0), LogKind::RingEnter);
+        log.record(Cycles::new(3), SequencerId::new(1), LogKind::ProxyRequest);
         assert_eq!(log.count(LogKind::RingEnter), 2);
         assert_eq!(log.count(LogKind::ProxyRequest), 1);
         assert_eq!(log.count(LogKind::Resume), 0);
-        assert!(log.records().is_empty(), "fine disabled keeps no records");
-    }
-
-    #[test]
-    fn fine_records_retained_when_enabled() {
-        let mut log = EventLog::new(true);
-        log.record(
-            Cycles::new(5),
-            SequencerId::new(2),
-            LogKind::Suspend,
-            "by OMS",
-        );
-        assert_eq!(log.records().len(), 1);
-        let r = &log.records()[0];
-        assert_eq!(r.time, Cycles::new(5));
-        assert_eq!(r.kind, LogKind::Suspend);
-        assert!(r.to_string().contains("SEQ2"));
-        assert!(log.fine_enabled());
-    }
-
-    #[test]
-    fn cap_limits_fine_records() {
-        let mut log = EventLog::new(true);
-        log.set_cap(3);
-        for i in 0..5 {
-            log.record(Cycles::new(i), SequencerId::new(0), LogKind::TimerTick, "");
-        }
-        assert_eq!(log.records().len(), 3);
-        assert_eq!(log.dropped(), 2);
-        assert_eq!(
-            log.count(LogKind::TimerTick),
-            5,
-            "coarse counts unaffected by cap"
-        );
     }
 
     #[test]
@@ -390,7 +234,7 @@ mod tests {
     #[test]
     fn trace_kinds_mirror_log_kinds() {
         // The first twelve TraceKind variants share the canonical LogKind
-        // order, which is what lets record_with map kinds with a plain match.
+        // order, which is what lets record map kinds with a plain match.
         for kind in LogKind::ALL {
             assert_eq!(
                 kind.trace_kind().canonical_index(),
@@ -403,17 +247,17 @@ mod tests {
 
     #[test]
     fn trace_ring_collects_log_records_without_touching_the_digest() {
-        let mut plain = EventLog::new(false);
-        let mut traced = EventLog::new(false);
+        let mut plain = EventLog::new();
+        let mut traced = EventLog::new();
         traced.enable_trace(16);
         assert!(traced.trace_enabled());
         for log in [&mut plain, &mut traced] {
-            log.record(Cycles::new(3), SequencerId::new(1), LogKind::ShredStart, "");
+            log.record(Cycles::new(3), SequencerId::new(1), LogKind::ShredStart);
         }
         // Trace-only instants bypass counts and digest entirely.
         traced.trace_instant(Cycles::new(5), SequencerId::new(1), TraceKind::TlbMiss);
         for log in [&mut plain, &mut traced] {
-            log.record(Cycles::new(9), SequencerId::new(1), LogKind::ShredEnd, "");
+            log.record(Cycles::new(9), SequencerId::new(1), LogKind::ShredEnd);
         }
         assert_eq!(plain.digest(), traced.digest());
         assert_eq!(plain.count(LogKind::ShredStart), 1);
@@ -431,33 +275,18 @@ mod tests {
 
     #[test]
     fn digest_is_deterministic_and_sensitive() {
-        let mut a = EventLog::new(false);
-        let mut b = EventLog::new(false);
+        let mut a = EventLog::new();
+        let mut b = EventLog::new();
         assert_eq!(a.digest(), b.digest(), "empty logs digest equal");
-        a.record(Cycles::new(1), SequencerId::new(0), LogKind::RingEnter, "");
-        b.record(Cycles::new(1), SequencerId::new(0), LogKind::RingEnter, "");
+        a.record(Cycles::new(1), SequencerId::new(0), LogKind::RingEnter);
+        b.record(Cycles::new(1), SequencerId::new(0), LogKind::RingEnter);
         assert_eq!(a.digest(), b.digest(), "identical logs digest equal");
-        b.record(Cycles::new(2), SequencerId::new(0), LogKind::RingExit, "");
+        b.record(Cycles::new(2), SequencerId::new(0), LogKind::RingExit);
         assert_ne!(a.digest(), b.digest(), "extra event changes the digest");
 
         // Distinct kinds with equal counts must not collide.
-        let mut c = EventLog::new(false);
-        c.record(Cycles::new(1), SequencerId::new(0), LogKind::RingExit, "");
-        assert_ne!(a.digest(), c.digest());
-    }
-
-    #[test]
-    fn digest_covers_fine_records_when_enabled() {
-        let mut a = EventLog::new(true);
-        let mut b = EventLog::new(true);
-        a.record(Cycles::new(5), SequencerId::new(1), LogKind::Suspend, "x");
-        b.record(Cycles::new(6), SequencerId::new(1), LogKind::Suspend, "x");
-        // Same coarse counts, different timestamps: fine digests differ.
-        assert_ne!(a.digest(), b.digest());
-
-        // Records differing only in detail text also digest differently.
-        let mut c = EventLog::new(true);
-        c.record(Cycles::new(5), SequencerId::new(1), LogKind::Suspend, "y");
+        let mut c = EventLog::new();
+        c.record(Cycles::new(1), SequencerId::new(0), LogKind::RingExit);
         assert_ne!(a.digest(), c.digest());
     }
 }

@@ -2,8 +2,8 @@
 //! event loop.
 //!
 //! A [`Machine`] owns everything the pre-fleet engine owned — the clock and
-//! radix-heap event-queue shard, the sequencer table, memory system, kernel
-//! and trace ring (all inside [`EngineCore`]), plus the [`Platform`] and the
+//! event-queue shard, the sequencer table, memory system, kernel and trace
+//! ring (all inside [`EngineCore`]), plus the [`Platform`] and the
 //! per-process [`Runtime`]s.  The run loop is split in three so a fleet
 //! synchronizer can interleave shards:
 //!
@@ -200,7 +200,7 @@ impl<P: Platform> Machine<P> {
     ///
     /// Panics if `time` lies before an already-processed event — the
     /// conservative synchronizer guarantees deliveries land at or after the
-    /// shard's clock, and the radix heap enforces it.
+    /// shard's clock, and the event queue enforces it.
     pub fn post_event(&mut self, time: Cycles, event: Event) {
         self.core.post_event(time, event);
     }
@@ -585,9 +585,7 @@ impl<P: Platform> Machine<P> {
                     if let Some(s) = self.core.shred_mut(shred) {
                         s.set_status(ShredStatus::Running);
                     }
-                    self.core
-                        // lint: alloc-ok(lazy trace closure; runs only when tracing is on)
-                        .log_event_with(seq, LogKind::ShredStart, || format!("{shred} installed"));
+                    self.core.log_event(seq, LogKind::ShredStart);
                     install_cost = shred_context_switch;
                 }
                 None => return Ok(false), // stays idle; a wake will retry
@@ -682,9 +680,7 @@ impl<P: Platform> Machine<P> {
                     continuation,
                 } => {
                     self.core.stats_mut().signals_sent += 1;
-                    self.core
-                        // lint: alloc-ok(lazy trace closure; runs only when tracing is on)
-                        .log_event_with(seq, LogKind::SignalSent, || format!("to {target}"));
+                    self.core.log_event(seq, LogKind::SignalSent);
                     let resume =
                         self.platform
                             .on_signal(&mut self.core, seq, target, &continuation, now);
@@ -738,10 +734,7 @@ impl<P: Platform> Machine<P> {
                             if let Some(s) = self.core.shred_mut(shred_id) {
                                 s.finish(now);
                             }
-                            self.core.log_event_with(seq, LogKind::ShredEnd, || {
-                                // lint: alloc-ok(lazy trace closure; runs only when tracing is on)
-                                format!("{shred_id} exited")
-                            });
+                            self.core.log_event(seq, LogKind::ShredEnd);
                             self.core.sequencers_mut().set_current_shred(seq, None);
                             self.core.schedule_ready(
                                 seq,
@@ -760,9 +753,7 @@ impl<P: Platform> Machine<P> {
                     if let Some(s) = self.core.shred_mut(shred_id) {
                         s.finish(now);
                     }
-                    self.core
-                        // lint: alloc-ok(lazy trace closure; runs only when tracing is on)
-                        .log_event_with(seq, LogKind::ShredEnd, || format!("{shred_id} halted"));
+                    self.core.log_event(seq, LogKind::ShredEnd);
                     self.core.sequencers_mut().set_current_shred(seq, None);
                     self.core.schedule_ready(seq, now + shred_context_switch);
                     return Ok(true);

@@ -15,9 +15,9 @@
 //!   (utilization/TLB/cache deltas plus queue-depth gauges).  Samples are
 //!   streamed as JSONL by the harness, one line per interval, and are
 //!   byte-identical at any harness thread count.
-//! - [`QueueProfile`] — radix-heap self-profiling counters (pushes, pops,
-//!   high-water occupancy, bucket redistributions, superseded-slot
-//!   replacements), surfaced via `sweep --profile` and the engine bench.
+//! - [`QueueProfile`] — event-queue self-profiling counters (pushes, pops,
+//!   high-water occupancy, superseded-slot replacements), surfaced via
+//!   `sweep --profile` and the engine bench.
 //! - [`chrome_trace_json`] — a Chrome-trace/Perfetto JSON exporter rendering
 //!   one track per sequencer with per-lane B/E spans, so a fig4 run can be
 //!   opened in [ui.perfetto.dev](https://ui.perfetto.dev) or
@@ -487,7 +487,7 @@ pub struct MetricsReport {
     pub digest: u64,
 }
 
-/// Self-profiling counters for the engine's radix-heap event queue.
+/// Self-profiling counters for the engine's event queue.
 ///
 /// These are *simulator* diagnostics, not simulation results: they are
 /// deterministic for a given configuration but differ between macro-step and
@@ -500,7 +500,9 @@ pub struct QueueProfile {
     pub pops: u64,
     /// High-water queue occupancy.
     pub max_len: u64,
-    /// Entries moved during bucket redistributions.
+    /// Entries moved during bucket redistributions.  Always 0: the engine's
+    /// flat queue has no buckets.  Kept so readers of earlier profiles and
+    /// the benchmark's counters keep their schema.
     pub redistributions: u64,
     /// Pushes that replaced a live per-sequencer slot in place.
     pub supersessions: u64,

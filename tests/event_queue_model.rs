@@ -1,12 +1,12 @@
-//! Model-based test of the radix-heap event queue.
+//! Model-based test of the flat event queue.
 //!
 //! The reference model is a plain `BinaryHeap<ScheduledEvent>` (whose `Ord`
 //! is reversed so it pops earliest-first) with *lazy deletion* for the two
 //! superseding kinds: the model remembers the latest seqno pushed for each
 //! `(kind, sequencer)` slot and skips stale entries on pop.  Both structures
-//! assign seqnos sequentially per push, so a correct radix heap must pop the
-//! byte-identical `(time, seqno, event)` sequence for any monotone schedule
-//! of pushes, supersedes and pops.
+//! assign seqnos sequentially per push, so a correct queue must peek and pop
+//! the byte-identical `(time, seqno, event)` sequence for any monotone
+//! schedule of pushes, supersedes and pops.
 
 // The reference model is deliberately allowed a std HashMap (clippy.toml
 // bans it in shipping code): the test never iterates it and determinism of
@@ -45,18 +45,28 @@ impl ModelQueue {
         self.heap.push(ScheduledEvent { time, seqno, event });
     }
 
-    fn pop(&mut self) -> Option<ScheduledEvent> {
-        while let Some(e) = self.heap.pop() {
-            match Self::slot(&e.event) {
-                Some(slot) if self.live.get(&slot) != Some(&e.seqno) => continue,
-                Some(slot) => {
-                    self.live.remove(&slot);
-                    return Some(e);
-                }
-                None => return Some(e),
+    fn is_live(&self, e: &ScheduledEvent) -> bool {
+        Self::slot(&e.event).is_none_or(|slot| self.live.get(&slot) == Some(&e.seqno))
+    }
+
+    /// The earliest live entry, discarding superseded entries above it.
+    fn peek(&mut self) -> Option<ScheduledEvent> {
+        while let Some(e) = self.heap.peek().copied() {
+            if self.is_live(&e) {
+                return Some(e);
             }
+            self.heap.pop();
         }
         None
+    }
+
+    fn pop(&mut self) -> Option<ScheduledEvent> {
+        let e = self.peek()?;
+        self.heap.pop();
+        if let Some(slot) = Self::slot(&e.event) {
+            self.live.remove(&slot);
+        }
+        Some(e)
     }
 }
 
@@ -83,6 +93,18 @@ fn apply(
             mask: (extra as u32) | 1,
         },
         6 => Event::Sample,
+        7 => {
+            // Supersede the current minimum with a later successor: the path
+            // on which the queue must rescan for its new minimum.
+            let Some(min) = model.peek() else { return };
+            if !matches!(min.event, Event::SeqReady { .. } | Event::StallEnd { .. }) {
+                return;
+            }
+            let time = min.time + Cycles::new(1 + delta);
+            queue.push(time, min.event);
+            model.push(time, min.event);
+            return;
+        }
         _ => {
             // Pop from both; the popped entries must be identical and time
             // must never go backwards.
@@ -97,7 +119,7 @@ fn apply(
         }
     };
     // Pushes are always at or after the last popped time (the engine's
-    // monotonicity invariant the radix heap relies on).
+    // monotonicity invariant the queue asserts).
     let time = Cycles::new(*now + delta);
     queue.push(time, event);
     model.push(time, event);
@@ -106,13 +128,22 @@ fn apply(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// For any monotone schedule mixing all four event kinds, supersedes and
-    /// pops, the radix heap pops the exact `(time, seqno, event)` sequence of
-    /// the comparison-heap reference — including the full drain at the end.
+    /// For any monotone schedule mixing every event kind, supersedes and
+    /// pops, the flat queue peeks and pops the exact `(time, seqno, event)`
+    /// sequence of the comparison-heap reference — including the full drain
+    /// at the end.  Half the deltas are 0–3 cycles, so equal-time ties are
+    /// common; 32 sequencers let the queue grow past the 24 live entries the
+    /// engine peaks at; and op 7 supersedes the current minimum to a later
+    /// time.
     #[test]
-    fn radix_heap_matches_binary_heap_reference(
+    fn flat_queue_matches_binary_heap_reference(
         ops in proptest::collection::vec(
-            (0u64..9, 0u64..(1 << 40), 0u64..6, 0u64..64),
+            (
+                0u64..10,
+                prop_oneof![0u64..4, 0u64..4, 4u64..4096, 0u64..(1 << 40)],
+                0u64..32,
+                0u64..64,
+            ),
             0..200,
         )
     ) {
@@ -122,6 +153,7 @@ proptest! {
         for op in ops {
             apply(&mut queue, &mut model, &mut now, op);
             prop_assert_eq!(queue.len(), model_live_len(&model), "live-entry count diverged");
+            prop_assert_eq!(queue.peek().copied(), model.peek(), "peek diverged");
         }
         // Drain: every remaining live event pops in identical order.
         loop {
@@ -138,12 +170,5 @@ proptest! {
 
 /// Number of live (non-superseded) entries in the model.
 fn model_live_len(model: &ModelQueue) -> usize {
-    model
-        .heap
-        .iter()
-        .filter(|e| match ModelQueue::slot(&e.event) {
-            Some(slot) => model.live.get(&slot) == Some(&e.seqno),
-            None => true,
-        })
-        .count()
+    model.heap.iter().filter(|e| model.is_live(e)).count()
 }

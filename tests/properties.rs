@@ -6,7 +6,7 @@ use misp::core::{MispTopology, RingPolicy};
 use misp::isa::ProgramLibrary;
 use misp::mem::AccessPattern;
 use misp::os::TimerConfig;
-use misp::sim::SimConfig;
+use misp::sim::{SimConfig, SimReport, TraceConfig};
 use misp::types::{CostModel, Cycles, SignalCost};
 use misp::workloads::{LocalityProfile, Machine, Run, Suite, Workload, WorkloadParams};
 use proptest::prelude::*;
@@ -62,7 +62,7 @@ fn quick_config() -> SimConfig {
 
 /// Asserts that two reports agree on everything the results schema can see:
 /// completion times, the full statistics block and the event-log digest.
-fn assert_identical(a: &misp::sim::SimReport, b: &misp::sim::SimReport, context: &str) {
+fn assert_identical(a: &SimReport, b: &SimReport, context: &str) {
     assert_eq!(a.total_cycles, b.total_cycles, "{context}: total cycles");
     assert_eq!(a.completions, b.completions, "{context}: completions");
     assert_eq!(a.stats, b.stats, "{context}: statistics");
@@ -70,7 +70,7 @@ fn assert_identical(a: &misp::sim::SimReport, b: &misp::sim::SimReport, context:
 }
 
 /// Runs `workload` on `machine` with 8 workers under `config`.
-fn run(workload: &Workload, machine: Machine, config: SimConfig) -> misp::sim::SimReport {
+fn run(workload: &Workload, machine: Machine, config: SimConfig) -> SimReport {
     Run::workload(workload)
         .machine(machine)
         .config(config)
@@ -79,7 +79,7 @@ fn run(workload: &Workload, machine: Machine, config: SimConfig) -> misp::sim::S
 }
 
 /// Runs `workload` on `machine` with 4 workers under `config`.
-fn run4(workload: &Workload, machine: Machine, config: SimConfig) -> misp::sim::SimReport {
+fn run4(workload: &Workload, machine: Machine, config: SimConfig) -> SimReport {
     Run::workload(workload)
         .machine(machine)
         .config(config)
@@ -149,18 +149,20 @@ proptest! {
     }
 
     /// Macro-stepping is byte-identical on arbitrary workload shapes too —
-    /// including with fine-grained logging enabled, where the digest covers
-    /// every individual record and its timestamp.
+    /// including with the trace ring on, whose digest covers every
+    /// individual (time, sequencer, kind) record in order.
     #[test]
     fn macro_stepping_is_byte_identical_on_random_workloads(
         input in (arbitrary_params(), any::<bool>())
     ) {
-        let (params, fine_log) = input;
+        let (params, traced) = input;
         let w = Workload::new("prop", Suite::Rms, params);
         let topo = MispTopology::uniprocessor(3).unwrap();
-        let base = SimConfig { fine_log, ..quick_config() };
+        let trace = TraceConfig { enabled: traced, ..TraceConfig::default() };
+        let base = SimConfig { trace, ..quick_config() };
         let batched = SimConfig { batch: true, ..base };
         let reference = SimConfig { batch: false, ..base };
+        let trace_digest = |r: &SimReport| r.trace.as_ref().map(|t| t.digest);
 
         let on = run4(&w, Machine::Misp(topo.clone()), batched);
         let off = run4(&w, Machine::Misp(topo.clone()), reference);
@@ -168,12 +170,15 @@ proptest! {
         prop_assert_eq!(&on.completions, &off.completions);
         prop_assert_eq!(&on.stats, &off.stats);
         prop_assert_eq!(on.log_digest, off.log_digest);
+        prop_assert_eq!(on.trace.is_some(), traced);
+        prop_assert_eq!(trace_digest(&on), trace_digest(&off));
 
         let on = run4(&w, Machine::Serial, batched);
         let off = run4(&w, Machine::Serial, reference);
         prop_assert_eq!(on.total_cycles, off.total_cycles);
         prop_assert_eq!(&on.stats, &off.stats);
         prop_assert_eq!(on.log_digest, off.log_digest);
+        prop_assert_eq!(trace_digest(&on), trace_digest(&off));
     }
 
     /// The total number of page faults equals the number of distinct pages

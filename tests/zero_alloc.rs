@@ -9,6 +9,10 @@
 //! (hundreds of thousands).  A small fixed tolerance covers amortized
 //! container growth (a retained buffer doubling once more in the longer run
 //! is O(log n) events per run, not O(ops)).
+//!
+//! Counting is per thread: only allocations made by the measuring thread
+//! while it is armed are counted, so sibling tests running in parallel under
+//! the default test harness cannot inflate a measurement.
 
 use misp::core::{MispMachine, MispTopology};
 use misp::isa::ProgramLibrary;
@@ -17,25 +21,49 @@ use misp::sim::{Event, FleetEngine, Mailbox, SimConfig, TraceConfig};
 use misp::types::{Cycles, MachineId};
 use misp::workloads::{LocalityProfile, Suite, Workload, WorkloadParams};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Whether allocations made by this thread are being counted.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    /// Allocations this thread made while armed.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_allocation() {
+    // `try_with`: the allocator can run while thread-locals are torn down.
+    let _ = ARMED.try_with(|armed| {
+        if armed.get() {
+            ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        }
+    });
+}
+
+/// Runs `f` with counting armed on the calling thread and returns the
+/// number of allocations it made, together with its result.
+fn count_allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    ALLOCATIONS.with(|n| n.set(0));
+    ARMED.with(|armed| armed.set(true));
+    let result = f();
+    ARMED.with(|armed| armed.set(false));
+    (ALLOCATIONS.with(Cell::get), result)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -81,9 +109,7 @@ fn measured_run_with_trace(chunks: u64, trace: TraceConfig) -> (u64, u64) {
     let mut machine = MispMachine::new(topo, config, library);
     machine.add_process(workload.name(), Box::new(scheduler), Some(0));
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let report = machine.run().unwrap();
-    let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let (during, report) = count_allocations(|| machine.run().unwrap());
     let ops = report.stats.per_sequencer.iter().map(|s| s.ops).sum();
     (during, ops)
 }
@@ -137,9 +163,7 @@ fn measured_fleet_run(chunks: u64) -> (u64, u64) {
         fleet.add_machine(machine.into_sim_machine());
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let report = fleet.run_fleet().unwrap();
-    let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let (during, report) = count_allocations(|| fleet.run_fleet().unwrap());
     let ops = report
         .reports
         .iter()
@@ -190,21 +214,21 @@ fn mailbox_posting_and_draining_do_not_allocate_within_capacity() {
     );
     mailbox.take_due(MachineId::new(1), None, &mut buffer);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for round in 0..8u64 {
-        for i in 0..200u64 {
-            mailbox.post(
-                MachineId::new(0),
-                MachineId::new((i % 2) as u32),
-                Cycles::new(round * 1_000 + i),
-                Event::Sample,
-            );
+    let (during, ()) = count_allocations(|| {
+        for round in 0..8u64 {
+            for i in 0..200u64 {
+                mailbox.post(
+                    MachineId::new(0),
+                    MachineId::new((i % 2) as u32),
+                    Cycles::new(round * 1_000 + i),
+                    Event::Sample,
+                );
+            }
+            for machine in 0..2u32 {
+                mailbox.take_due(MachineId::new(machine), None, &mut buffer);
+            }
         }
-        for machine in 0..2u32 {
-            mailbox.take_due(MachineId::new(machine), None, &mut buffer);
-        }
-    }
-    let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    });
     assert!(mailbox.is_empty());
     assert_eq!(
         during, 0,
