@@ -15,14 +15,15 @@
 //! Schema v2: `entries[]` accumulates across PRs, each entry tagged with the
 //! `pr` slug that measured it (`MISP_BENCH_PR`, default `"dev"`).  Re-running
 //! under the same slug replaces that slug's entries, so regeneration is
-//! idempotent.  After writing, the bench *fails* if the fresh `macro-step`
-//! ops/sec regressed more than 10% below the best previously committed entry
-//! on the same grid — set `MISP_BENCH_GATE=off` to bypass when measuring on
-//! an incomparable machine.
+//! idempotent.  Every new entry records a `host` fingerprint (CPU model plus
+//! available parallelism).  After writing, the bench *fails* if the fresh
+//! `macro-step` ops/sec regressed more than 10% below the best previously
+//! committed entry on the same grid *from the same host fingerprint*;
+//! entries from other hosts, and older entries without a fingerprint, never
+//! gate.  `MISP_BENCH_GATE=off` still bypasses the gate entirely.
 //!
-//! CI's `bench-trajectory` job runs the same target with `-- --test` (one
-//! measured iteration per configuration) and uploads the emitted document as
-//! an artifact next to the sweep-smoke results.
+//! CI's `bench-trajectory` job runs the same target and uploads the emitted
+//! document as an artifact next to the sweep-smoke results.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use misp_core::{FleetTopology, LoadBalancerPolicy};
@@ -63,6 +64,29 @@ struct BenchEntry {
     /// Total superseded-slot replacements absorbed by the sweep's queues.
     #[serde(skip_serializing_if = "Option::is_none")]
     heap_supersessions: Option<u64>,
+    /// Fingerprint of the measuring host (see [`host_fingerprint`]); only
+    /// entries with the same fingerprint gate each other.  `None` in entries
+    /// measured before fingerprints were recorded.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    host: Option<String>,
+}
+
+/// Identifies the measuring host for the regression gate: the CPU model
+/// from `/proc/cpuinfo` and the available parallelism, e.g.
+/// `"Intel(R) Xeon(R) CPU @ 2.20GHz x2"`.  Wall-clock throughput is only
+/// comparable between runs with equal fingerprints.
+fn host_fingerprint() -> String {
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, name)| name.trim().to_string())
+        })
+        .unwrap_or_else(|| std::env::consts::ARCH.to_string());
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    format!("{model} x{threads}")
 }
 
 /// The `BENCH_engine.json` document (schema v2).
@@ -129,6 +153,7 @@ fn load_prior(path: &PathBuf) -> (Vec<BenchEntry>, Option<f64>) {
                 heap_max_len: None,
                 heap_redistributions: None,
                 heap_supersessions: None,
+                host: None,
             })
             .collect();
         return (entries, doc.reference_seed_wall_ms);
@@ -232,33 +257,42 @@ fn heap_profile(grid: &GridSpec) -> QueueProfile {
     total
 }
 
-/// Times one single-threaded sweep of `grid`, best of `iters` runs.
+/// Times single-threaded sweeps of each of `grids`, returning each grid's
+/// best wall-clock ms.  The grids take turns, one sweep each per round, for
+/// at least `rounds` rounds and until `min_secs` have passed: on a shared
+/// host, contention comes in phases lasting seconds, and a best-of window
+/// that short would gate on the phase rather than on the code.
 // Wall-clock timing is allowed here (clippy.toml + lint.toml): this is the
 // bench harness measuring host runtime around whole deterministic runs.
 #[allow(clippy::disallowed_methods)]
-fn time_grid(grid: &GridSpec, iters: usize) -> f64 {
+fn time_grids<const N: usize>(grids: [&GridSpec; N], rounds: usize, min_secs: f64) -> [f64; N] {
     let options = SweepOptions {
         threads: 1,
         verify: VerifyMode::Off,
     };
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let start = Instant::now();
-        black_box(run_grid(grid, &options).expect("fig4 sweeps cleanly"));
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
+    let mut best = [f64::INFINITY; N];
+    let window = Instant::now();
+    let mut round = 0;
+    while round < rounds || window.elapsed().as_secs_f64() < min_secs {
+        for (grid, best) in grids.iter().zip(&mut best) {
+            let start = Instant::now();
+            black_box(run_grid(grid, &options).expect("grid sweeps cleanly"));
+            *best = best.min(start.elapsed().as_secs_f64() * 1e3);
+        }
+        round += 1;
     }
     best
 }
 
 fn emit_trajectory(test_mode: bool) {
-    let iters = if test_mode { 1 } else { 12 };
+    let (rounds, min_secs) = if test_mode { (1, 0.0) } else { (12, 10.0) };
     let pr = std::env::var("MISP_BENCH_PR").unwrap_or_else(|_| "dev".to_string());
+    let host = host_fingerprint();
     let batched = grids::fig4();
     let reference = fig4_event_per_op();
     let fleet_grid = grids::fleet_service();
-    let on_ms = time_grid(&batched, iters);
-    let off_ms = time_grid(&reference, iters);
-    let fleet_ms = time_grid(&fleet_grid, iters);
+    let [on_ms, off_ms, fleet_ms] =
+        time_grids([&batched, &reference, &fleet_grid], rounds, min_secs);
     let total_ops = fig4_total_ops();
     let fleet_ops = fleet_service_total_ops();
     let entry = |grid: &str, config: &str, ops: u64, wall_ms: f64, heap: QueueProfile| BenchEntry {
@@ -271,6 +305,7 @@ fn emit_trajectory(test_mode: bool) {
         heap_max_len: Some(heap.max_len),
         heap_redistributions: Some(heap.redistributions),
         heap_supersessions: Some(heap.supersessions),
+        host: Some(host.clone()),
     };
 
     // crates/bench/ -> repository root.
@@ -279,12 +314,14 @@ fn emit_trajectory(test_mode: bool) {
         .collect();
     let (prior, prior_seed) = load_prior(&out);
 
-    // Best previously committed macro-step throughput on this grid — the
-    // regression baseline.  Entries from the current slug are excluded (a
-    // re-run replaces them below).
+    // Best previously committed macro-step throughput on this grid from
+    // this host — the regression baseline.  Entries from the current slug
+    // are excluded (a re-run replaces them below); entries from another
+    // host, or without a fingerprint, are not comparable.
     let best_committed = prior
         .iter()
         .filter(|e| e.pr != pr && e.grid == "fig4" && e.config == "macro-step")
+        .filter(|e| e.host.as_deref() == Some(host.as_str()))
         .map(|e| e.ops_per_sec)
         .fold(f64::NAN, f64::max);
 
@@ -329,7 +366,7 @@ fn emit_trajectory(test_mode: bool) {
     json.push('\n');
     std::fs::write(&out, &json).expect("write BENCH_engine.json");
     println!(
-        "BENCH_engine.json [{pr}]: macro-step {on_ms:.2} ms, event-per-op {off_ms:.2} ms \
+        "BENCH_engine.json [{pr}] on {host}: macro-step {on_ms:.2} ms, event-per-op {off_ms:.2} ms \
          ({:.2}x), {total_ops} simulated ops; fleet_service {fleet_ms:.2} ms, \
          {fleet_ops} ops -> {}",
         off_ms / on_ms,
@@ -342,8 +379,8 @@ fn emit_trajectory(test_mode: bool) {
     if !gate_off && best_committed.is_finite() && fresh_ops_per_sec < 0.9 * best_committed {
         panic!(
             "engine throughput regression: {fresh_ops_per_sec:.0} ops/sec is more than 10% \
-             below the best committed macro-step entry ({best_committed:.0} ops/sec); \
-             set MISP_BENCH_GATE=off to bypass on an incomparable machine"
+             below the best committed macro-step entry from this host ({host}: \
+             {best_committed:.0} ops/sec); set MISP_BENCH_GATE=off to bypass"
         );
     }
 }

@@ -38,6 +38,17 @@ impl CacheGeometry {
     pub fn capacity_bytes(&self, line_size: u64) -> u64 {
         self.lines() * line_size
     }
+
+    /// The set `line` maps to: a mask when the set count is a power of two
+    /// (every shipped geometry), a remainder otherwise.
+    pub(crate) fn set_of(&self, line: u64) -> usize {
+        let sets = u64::from(self.sets);
+        if sets.is_power_of_two() {
+            (line & (sets - 1)) as usize
+        } else {
+            (line % sets) as usize
+        }
+    }
 }
 
 /// Configuration of the whole cache hierarchy.
@@ -117,7 +128,11 @@ impl CacheConfig {
     /// The line index of a byte address.
     #[must_use]
     pub fn line_of(&self, addr: u64) -> u64 {
-        addr / self.line_size.max(1)
+        if self.line_size.is_power_of_two() {
+            addr >> self.line_size.trailing_zeros()
+        } else {
+            addr / self.line_size.max(1)
+        }
     }
 
     /// A short human-readable label of the geometry, recorded in sweep
@@ -180,6 +195,19 @@ mod tests {
         assert_eq!(c.line_of(0), 0);
         assert_eq!(c.line_of(4095), 0);
         assert_eq!(c.line_of(4096), 1);
+        let odd = CacheConfig {
+            line_size: 48,
+            ..CacheConfig::enabled_default()
+        };
+        assert_eq!(odd.line_of(95), 1);
+        assert_eq!(odd.line_of(96), 2);
+    }
+
+    #[test]
+    fn set_of_masks_or_divides() {
+        assert_eq!(CacheGeometry::new(8, 2).set_of(13), 5);
+        assert_eq!(CacheGeometry::new(6, 2).set_of(13), 1);
+        assert_eq!(CacheGeometry::new(1, 4).set_of(13), 0);
     }
 
     #[test]

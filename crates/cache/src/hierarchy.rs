@@ -2,9 +2,8 @@
 //! MESI-lite coherence between them.
 
 use crate::{CacheConfig, MesiState, SetAssocCache};
-use misp_types::{Cycles, SequencerId, VirtAddr};
+use misp_types::{Cycles, FxHashSet, SequencerId, VirtAddr};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// Where in the hierarchy an access resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,6 +98,14 @@ impl CacheStats {
     }
 }
 
+/// One access's set indices, computed once and shared by every probe of
+/// that level.
+#[derive(Debug, Clone, Copy)]
+struct Sets {
+    l1: usize,
+    l2: usize,
+}
+
 /// The machine's cache hierarchy: one private L1 per sequencer, one shared L2
 /// per cluster, and MESI-lite coherence between the L1s.
 ///
@@ -108,8 +115,11 @@ impl CacheStats {
 ///
 /// Coherence is maintained by snooping every L1 on demand rather than through
 /// a directory, which is exact and cheap at the machine sizes the paper
-/// evaluates (eight sequencers).  All bookkeeping uses ordered containers, so
-/// the hierarchy is strictly deterministic.
+/// evaluates (eight sequencers).  Every L1 shares one geometry and every L2
+/// another, so an access computes its L1 and L2 set indices once and reuses
+/// them for every probe.  The miss-classification sets are membership-only
+/// (never iterated), so hashing them keeps the hierarchy strictly
+/// deterministic.
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
     config: CacheConfig,
@@ -117,10 +127,10 @@ pub struct CacheHierarchy {
     l1: Vec<SetAssocCache>,
     l2: Vec<SetAssocCache>,
     /// Lines ever fetched anywhere, for compulsory-miss classification.
-    touched: BTreeSet<u64>,
+    touched: FxHashSet<u64>,
     /// Per-sequencer lines lost to remote stores, for coherence-miss
     /// classification.
-    invalidated: Vec<BTreeSet<u64>>,
+    invalidated: Vec<FxHashSet<u64>>,
     stats: Vec<CacheStats>,
 }
 
@@ -145,8 +155,8 @@ impl CacheHierarchy {
             l2: (0..l2_count)
                 .map(|_| SetAssocCache::new(config.l2))
                 .collect(),
-            touched: BTreeSet::new(),
-            invalidated: vec![BTreeSet::new(); clusters.len()],
+            touched: FxHashSet::default(),
+            invalidated: vec![FxHashSet::default(); clusters.len()],
             stats: vec![CacheStats::default(); clusters.len()],
         }
     }
@@ -189,6 +199,7 @@ impl CacheHierarchy {
     /// # Panics
     ///
     /// Panics if `seq` is out of range for the configured sequencer count.
+    // lint: no-alloc
     pub fn access(
         &mut self,
         seq: SequencerId,
@@ -199,21 +210,26 @@ impl CacheHierarchy {
         let idx = seq.as_usize();
         let cluster = self.clusters[idx];
         let line = self.line_key(space, addr);
+        let sets = Sets {
+            l1: self.config.l1.set_of(line),
+            l2: self.config.l2.set_of(line),
+        };
         let costs = self.config.costs;
 
         // L1 hit: loads keep the line's state, stores may need an upgrade.
-        if let Some(state) = self.l1[idx].lookup(line) {
+        if let Some(state) = self.l1[idx].lookup_in(sets.l1, line) {
             let mut invalidations = 0;
             let mut latency = costs.l1_hit;
             if store {
                 if state == MesiState::Shared {
-                    let (l1_invalidations, purged_any) = self.invalidate_others(idx, cluster, line);
+                    let (l1_invalidations, purged_any) =
+                        self.invalidate_others(idx, cluster, sets, line);
                     invalidations = l1_invalidations;
                     if purged_any {
                         latency += costs.invalidation;
                     }
                 }
-                self.l1[idx].set_state(line, MesiState::Modified);
+                self.l1[idx].set_state_in(sets.l1, line, MesiState::Modified);
             }
             self.stats[idx].l1_hits += 1;
             return CacheOutcome {
@@ -224,30 +240,30 @@ impl CacheHierarchy {
             };
         }
 
-        // L1 miss: classify before the fill updates the books.
-        let class = if !self.touched.contains(&line) {
+        // L1 miss: classify and update the books in one probe per set.  A
+        // line is only ever invalidated after it was touched, so a first
+        // touch never has a stale coherence mark to clear.
+        let class = if self.touched.insert(line) {
             MissClass::Compulsory
-        } else if self.invalidated[idx].contains(&line) {
+        } else if self.invalidated[idx].remove(&line) {
             MissClass::Coherence
         } else {
             MissClass::Capacity
         };
-        self.touched.insert(line);
-        self.invalidated[idx].remove(&line);
 
-        let l2_hit = self.l2[cluster].lookup(line).is_some();
+        let l2_hit = self.l2[cluster].lookup_in(sets.l2, line).is_some();
 
         // Coherence actions and the L1 fill state.
         let mut invalidations = 0;
         let mut latency_extra = Cycles::ZERO;
         let fill_state = if store {
-            let (l1_invalidations, purged_any) = self.invalidate_others(idx, cluster, line);
+            let (l1_invalidations, purged_any) = self.invalidate_others(idx, cluster, sets, line);
             invalidations = l1_invalidations;
             if purged_any {
                 latency_extra = costs.invalidation;
             }
             MesiState::Modified
-        } else if self.downgrade_remote_holders(idx, cluster, line) {
+        } else if self.downgrade_remote_holders(idx, cluster, sets, line) {
             MesiState::Shared
         } else {
             MesiState::Exclusive
@@ -255,9 +271,9 @@ impl CacheHierarchy {
 
         if !l2_hit {
             // The L2 tracks presence only; per-line MESI lives in the L1s.
-            self.l2[cluster].insert(line, MesiState::Shared);
+            self.l2[cluster].insert_in(sets.l2, line, MesiState::Shared);
         }
-        self.l1[idx].insert(line, fill_state);
+        self.l1[idx].insert_in(sets.l1, line, fill_state);
 
         let stats = &mut self.stats[idx];
         if l2_hit {
@@ -289,14 +305,20 @@ impl CacheHierarchy {
     /// whether *any* remote copy (L1 or L2) was purged — a store must pay
     /// the invalidation round even when the only surviving copy is a
     /// lingering remote-cluster L2 line.
-    fn invalidate_others(&mut self, me: usize, my_cluster: usize, line: u64) -> (u64, bool) {
+    fn invalidate_others(
+        &mut self,
+        me: usize,
+        my_cluster: usize,
+        sets: Sets,
+        line: u64,
+    ) -> (u64, bool) {
         let mut count = 0;
         let mut purged_any = false;
         for other in 0..self.l1.len() {
             if other == me {
                 continue;
             }
-            if self.l1[other].invalidate(line).is_some() {
+            if self.l1[other].invalidate_in(sets.l1, line).is_some() {
                 count += 1;
                 purged_any = true;
                 self.invalidated[other].insert(line);
@@ -304,7 +326,7 @@ impl CacheHierarchy {
             }
         }
         for (c, l2) in self.l2.iter_mut().enumerate() {
-            if c != my_cluster && l2.invalidate(line).is_some() {
+            if c != my_cluster && l2.invalidate_in(sets.l2, line).is_some() {
                 purged_any = true;
             }
         }
@@ -317,23 +339,24 @@ impl CacheHierarchy {
     /// `Exclusive` must have no copy anywhere else in the machine, so that a
     /// later store hitting it in `Exclusive`/`Modified` state can skip the
     /// invalidation round without leaving a stale copy behind.
-    fn downgrade_remote_holders(&mut self, me: usize, my_cluster: usize, line: u64) -> bool {
+    fn downgrade_remote_holders(
+        &mut self,
+        me: usize,
+        my_cluster: usize,
+        sets: Sets,
+        line: u64,
+    ) -> bool {
         let mut held = false;
-        for other in 0..self.l1.len() {
-            if other == me {
-                continue;
-            }
-            if self.l1[other].peek(line).is_some() {
-                held = true;
-                self.l1[other].set_state(line, MesiState::Shared);
-            }
-        }
-        for (c, l2) in self.l2.iter().enumerate() {
-            if c != my_cluster && l2.peek(line).is_some() {
+        for (other, l1) in self.l1.iter_mut().enumerate() {
+            if other != me && l1.set_state_in(sets.l1, line, MesiState::Shared) {
                 held = true;
             }
         }
-        held
+        held || self
+            .l2
+            .iter()
+            .enumerate()
+            .any(|(c, l2)| c != my_cluster && l2.peek_in(sets.l2, line).is_some())
     }
 
     /// Flushes `seq`'s private L1 (a context switch or proxy-execution
@@ -371,7 +394,7 @@ impl CacheHierarchy {
     ///
     /// Panics if an invariant is violated — used by the property-test suite.
     pub fn assert_coherence_invariants(&self) {
-        let mut lines: BTreeSet<u64> = BTreeSet::new();
+        let mut lines: Vec<u64> = Vec::new();
         for l1 in &self.l1 {
             assert!(
                 l1.len() <= l1.geometry().lines() as usize,
@@ -379,6 +402,8 @@ impl CacheHierarchy {
             );
             lines.extend(l1.lines().map(|(line, _)| line));
         }
+        lines.sort_unstable();
+        lines.dedup();
         for line in lines {
             let holders: Vec<MesiState> = self.l1.iter().filter_map(|l1| l1.peek(line)).collect();
             let owners = holders

@@ -2,7 +2,7 @@
 //! states.
 
 use crate::CacheGeometry;
-use std::collections::VecDeque;
+use std::ops::Range;
 
 /// The MESI-lite coherence state of a cached line.  `Invalid` is represented
 /// by absence from the cache.
@@ -25,6 +25,10 @@ pub enum MesiState {
 /// identical access sequences leave two caches in identical states — the
 /// engine-level determinism guarantee depends on this.
 ///
+/// Storage is three flat `sets × ways` arrays (tag, state, last-use stamp)
+/// and one per-cache clock.  `lookup` and `insert` stamp the way they touch;
+/// the LRU line of a set is its valid way with the smallest stamp.
+///
 /// # Examples
 ///
 /// ```
@@ -38,22 +42,39 @@ pub enum MesiState {
 /// // A third line in the 2-way set evicts the least-recently-used one.
 /// assert_eq!(cache.insert(11, MesiState::Exclusive), Some(7));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct SetAssocCache {
     geometry: CacheGeometry,
-    /// Per-set lines, least-recently-used at the front.
-    sets: Vec<VecDeque<(u64, MesiState)>>,
+    /// Line held by each way; meaningful only where `states` is `Some`.
+    tags: Vec<u64>,
+    /// State of each way; `None` marks an invalid (empty) way.
+    states: Vec<Option<MesiState>>,
+    /// Clock value of each way's last `lookup` hit or `insert`.
+    stamps: Vec<u64>,
+    clock: u64,
 }
+
+impl PartialEq for SetAssocCache {
+    /// Compares logical contents: the resident lines of each set in LRU
+    /// order, ignoring stale tags and stamps of invalid ways.
+    fn eq(&self, other: &Self) -> bool {
+        self.geometry == other.geometry && self.lines().eq(other.lines())
+    }
+}
+
+impl Eq for SetAssocCache {}
 
 impl SetAssocCache {
     /// Creates an empty cache of the given geometry.
     #[must_use]
     pub fn new(geometry: CacheGeometry) -> Self {
+        let lines = geometry.lines() as usize;
         SetAssocCache {
             geometry,
-            sets: (0..geometry.sets)
-                .map(|_| VecDeque::with_capacity(geometry.ways as usize))
-                .collect(),
+            tags: vec![0; lines],
+            states: vec![None; lines],
+            stamps: vec![0; lines],
+            clock: 0,
         }
     }
 
@@ -63,36 +84,64 @@ impl SetAssocCache {
         self.geometry
     }
 
-    fn set_of(&self, line: u64) -> usize {
-        (line % u64::from(self.geometry.sets)) as usize
+    /// The way indices of `set`.
+    fn ways(&self, set: usize) -> Range<usize> {
+        let ways = self.geometry.ways as usize;
+        set * ways..(set + 1) * ways
+    }
+
+    /// The way holding `line` in `set`, if resident.
+    fn find(&self, set: usize, line: u64) -> Option<usize> {
+        self.ways(set)
+            .find(|&way| self.tags[way] == line && self.states[way].is_some())
+    }
+
+    /// Marks `way` most-recently-used.
+    fn stamp(&mut self, way: usize) {
+        self.clock += 1;
+        self.stamps[way] = self.clock;
     }
 
     /// Looks `line` up, promoting it to most-recently-used on a hit.
+    // lint: no-alloc
     pub fn lookup(&mut self, line: u64) -> Option<MesiState> {
-        let set = self.set_of(line);
-        let entries = &mut self.sets[set];
-        let pos = entries.iter().position(|(l, _)| *l == line)?;
-        let entry = entries.remove(pos).expect("position just found");
-        entries.push_back(entry);
-        Some(entry.1)
+        self.lookup_in(self.geometry.set_of(line), line)
+    }
+
+    /// [`SetAssocCache::lookup`] with `line`'s set already computed.
+    // lint: no-alloc
+    pub(crate) fn lookup_in(&mut self, set: usize, line: u64) -> Option<MesiState> {
+        let way = self.find(set, line)?;
+        self.stamp(way);
+        self.states[way]
     }
 
     /// Returns the state of `line` without touching LRU order.
+    // lint: no-alloc
     #[must_use]
     pub fn peek(&self, line: u64) -> Option<MesiState> {
-        self.sets[self.set_of(line)]
-            .iter()
-            .find(|(l, _)| *l == line)
-            .map(|(_, s)| *s)
+        self.peek_in(self.geometry.set_of(line), line)
+    }
+
+    /// [`SetAssocCache::peek`] with `line`'s set already computed.
+    // lint: no-alloc
+    pub(crate) fn peek_in(&self, set: usize, line: u64) -> Option<MesiState> {
+        self.find(set, line).and_then(|way| self.states[way])
     }
 
     /// Sets the coherence state of a resident line without touching LRU
     /// order.  Returns `false` if the line is not resident.
+    // lint: no-alloc
     pub fn set_state(&mut self, line: u64, state: MesiState) -> bool {
-        let set = self.set_of(line);
-        match self.sets[set].iter_mut().find(|(l, _)| *l == line) {
-            Some(entry) => {
-                entry.1 = state;
+        self.set_state_in(self.geometry.set_of(line), line, state)
+    }
+
+    /// [`SetAssocCache::set_state`] with `line`'s set already computed.
+    // lint: no-alloc
+    pub(crate) fn set_state_in(&mut self, set: usize, line: u64, state: MesiState) -> bool {
+        match self.find(set, line) {
+            Some(way) => {
+                self.states[way] = Some(state);
                 true
             }
             None => false,
@@ -102,57 +151,76 @@ impl SetAssocCache {
     /// Inserts `line` in `state` as most-recently-used, evicting and
     /// returning the set's LRU line if the set is full.  Re-inserting a
     /// resident line updates its state and promotes it.
+    // lint: no-alloc
     pub fn insert(&mut self, line: u64, state: MesiState) -> Option<u64> {
-        let set = self.set_of(line);
-        let entries = &mut self.sets[set];
-        if let Some(pos) = entries.iter().position(|(l, _)| *l == line) {
-            entries.remove(pos);
-            entries.push_back((line, state));
-            return None;
-        }
-        let evicted = if entries.len() == self.geometry.ways as usize {
-            entries.pop_front().map(|(l, _)| l)
+        self.insert_in(self.geometry.set_of(line), line, state)
+    }
+
+    /// [`SetAssocCache::insert`] with `line`'s set already computed.
+    // lint: no-alloc
+    pub(crate) fn insert_in(&mut self, set: usize, line: u64, state: MesiState) -> Option<u64> {
+        let ways = self.ways(set);
+        let (way, evicted) = if let Some(way) = self.find(set, line) {
+            (way, None)
+        } else if let Some(way) = ways.clone().find(|&way| self.states[way].is_none()) {
+            (way, None)
         } else {
-            None
+            let lru = ways
+                .min_by_key(|&way| self.stamps[way])
+                .expect("a geometry has at least one way");
+            (lru, Some(self.tags[lru]))
         };
-        entries.push_back((line, state));
+        self.tags[way] = line;
+        self.states[way] = Some(state);
+        self.stamp(way);
         evicted
     }
 
     /// Removes `line`, returning its state if it was resident.
+    // lint: no-alloc
     pub fn invalidate(&mut self, line: u64) -> Option<MesiState> {
-        let set = self.set_of(line);
-        let entries = &mut self.sets[set];
-        let pos = entries.iter().position(|(l, _)| *l == line)?;
-        entries.remove(pos).map(|(_, s)| s)
+        self.invalidate_in(self.geometry.set_of(line), line)
+    }
+
+    /// [`SetAssocCache::invalidate`] with `line`'s set already computed.
+    // lint: no-alloc
+    pub(crate) fn invalidate_in(&mut self, set: usize, line: u64) -> Option<MesiState> {
+        let way = self.find(set, line)?;
+        self.states[way].take()
     }
 
     /// Drops every line, returning how many were resident.
     pub fn clear(&mut self) -> usize {
-        let mut dropped = 0;
-        for set in &mut self.sets {
-            dropped += set.len();
-            set.clear();
-        }
+        let dropped = self.len();
+        self.states.fill(None);
         dropped
     }
 
     /// Number of resident lines.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.sets.iter().map(VecDeque::len).sum()
+        self.states.iter().filter(|s| s.is_some()).count()
     }
 
     /// Returns `true` when no line is resident.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.sets.iter().all(VecDeque::is_empty)
+        self.states.iter().all(Option::is_none)
     }
 
     /// Iterates over every resident `(line, state)` pair, set by set, LRU
     /// first within each set.
     pub fn lines(&self) -> impl Iterator<Item = (u64, MesiState)> + '_ {
-        self.sets.iter().flat_map(|set| set.iter().copied())
+        (0..self.geometry.sets as usize).flat_map(move |set| {
+            let mut resident: Vec<usize> = self
+                .ways(set)
+                .filter(|&way| self.states[way].is_some())
+                .collect();
+            resident.sort_unstable_by_key(|&way| self.stamps[way]);
+            resident
+                .into_iter()
+                .filter_map(move |way| self.states[way].map(|state| (self.tags[way], state)))
+        })
     }
 }
 

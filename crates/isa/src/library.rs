@@ -105,6 +105,18 @@ impl ProgramLibrary {
             .enumerate()
             .map(|(i, p)| (ProgramRef::new(i as u32), p))
     }
+
+    /// Consumes the library, returning its programs in insertion order (the
+    /// program at index `i` is the one [`ProgramRef`] `i` names).  Each
+    /// program's storage is trimmed to its length, so programs that outlive
+    /// the library do not keep the spare capacity their builders grew.
+    #[must_use]
+    pub fn into_programs(mut self) -> Vec<ShredProgram> {
+        for program in &mut self.programs {
+            program.compact();
+        }
+        self.programs
+    }
 }
 
 impl FromIterator<ShredProgram> for ProgramLibrary {
@@ -150,6 +162,12 @@ mod tests {
         assert_eq!(names, vec!["x", "y", "z"]);
         let refs: Vec<u32> = lib.iter().map(|(r, _)| r.index()).collect();
         assert_eq!(refs, vec![0, 1, 2]);
+        let owned: Vec<String> = lib
+            .into_programs()
+            .iter()
+            .map(|p| p.name().to_string())
+            .collect();
+        assert_eq!(owned, vec!["x", "y", "z"]);
     }
 
     #[test]

@@ -14,11 +14,26 @@ pub enum PageState {
     Resident,
 }
 
-/// Page numbers below this bound live in the dense residency bitmap; higher
-/// pages fall back to the sparse map.  64 Ki pages cover 256 MiB of virtual
-/// address space at 4 KiB pages — far beyond every modeled working set — at a
-/// worst-case bitmap cost of 8 KiB per process.
-const DENSE_PAGES: u64 = 1 << 16;
+/// Page numbers below this bound live in the two-level residency bitmap;
+/// higher pages fall back to the sparse map.  2²⁴ pages cover 64 GiB of
+/// virtual address space at 4 KiB pages, which holds every workload region
+/// the simulator lays out (the highest base is `0xA000_0000`), while the
+/// directory stays at most 4096 entries (32 KiB) however high a page lands.
+const DENSE_PAGES: u64 = 1 << 24;
+
+/// Words per bitmap leaf: one leaf covers `64 × 64` = 4096 pages (16 MiB of
+/// virtual address space).
+const LEAF_WORDS: usize = 64;
+
+/// `log2` of the pages one leaf covers; the directory index of page `n` is
+/// `n >> LEAF_SHIFT`.
+const LEAF_SHIFT: u32 = 12;
+
+/// One bitmap leaf, one bit per page.
+type Leaf = [u64; LEAF_WORDS];
+
+/// The leaf every absent directory entry reads as.
+const EMPTY_LEAF: Leaf = [0; LEAF_WORDS];
 
 /// A process's virtual address space: the page table plus residency metadata.
 ///
@@ -28,9 +43,13 @@ const DENSE_PAGES: u64 = 1 << 16;
 /// the OMS or via proxy execution from an AMS.
 ///
 /// `touch` sits on the engine's per-access hot path, so residency for page
-/// numbers below `DENSE_PAGES` (2¹⁶) is a bitmap (grown on demand) and the lookup
-/// is a shift and a mask; only pages above the bound — which no modeled
-/// workload produces — pay for a hash probe in the sparse fallback map.
+/// numbers below 2²⁴ is a two-level bitmap: a directory indexed by
+/// `page >> 12` whose entries are 64-word leaves, allocated on the first
+/// touch of their 4096-page range.  The workload regions start at page 2¹⁶
+/// and above (e.g. `0x1000_0000`, `0xA000_0000`), so the directory stays a
+/// few hundred entries long and each touched region costs one 512-byte leaf.
+/// A lookup is two indexed loads, a shift and a mask.  Only pages at or above
+/// 2²⁴ pay for a hash probe in the sparse fallback map.
 ///
 /// # Examples
 ///
@@ -47,30 +66,38 @@ const DENSE_PAGES: u64 = 1 << 16;
 /// ```
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct AddressSpace {
-    /// Residency bitmap for pages below [`DENSE_PAGES`], one bit per page,
-    /// grown a word at a time as higher pages are touched.
-    dense: Vec<u64>,
-    /// Residency for pages at or above [`DENSE_PAGES`] (never hit by the
-    /// modeled workloads; kept for correctness on arbitrary addresses).
+    /// Residency bitmap for pages below [`DENSE_PAGES`]: a directory indexed
+    /// by `page >> LEAF_SHIFT`, grown as higher leaves are touched, whose
+    /// leaves are allocated on first touch.
+    dense: Vec<Option<Box<Leaf>>>,
+    /// Residency for pages at or above [`DENSE_PAGES`] (no workload lays out
+    /// memory there; kept for correctness on arbitrary addresses).
     sparse: FxHashMap<PageId, PageState>,
     compulsory_faults: u64,
 }
 
 impl PartialEq for AddressSpace {
     fn eq(&self, other: &Self) -> bool {
-        // Trailing zero words in the bitmap are representational only (an
-        // evicted page leaves its word behind), so compare the meaningful
-        // prefix rather than the raw vectors.
-        let common = self.dense.len().min(other.dense.len());
+        // Absent leaves, all-zero leaves and trailing directory entries are
+        // representational only (an evicted page leaves its leaf behind), so
+        // compare leaf contents rather than the raw directories.
+        let leaves = self.dense.len().max(other.dense.len());
         self.compulsory_faults == other.compulsory_faults
-            && self.dense[..common] == other.dense[..common]
-            && self.dense[common..].iter().all(|w| *w == 0)
-            && other.dense[common..].iter().all(|w| *w == 0)
+            && (0..leaves).all(|i| self.leaf(i) == other.leaf(i))
             && self.sparse == other.sparse
     }
 }
 
 impl Eq for AddressSpace {}
+
+/// Splits a dense page number into (directory index, word, bit mask).
+fn dense_position(n: u64) -> (usize, usize, u64) {
+    (
+        (n >> LEAF_SHIFT) as usize,
+        ((n / 64) % LEAF_WORDS as u64) as usize,
+        1 << (n % 64),
+    )
+}
 
 impl AddressSpace {
     /// Creates an empty address space with no resident pages.
@@ -79,30 +106,37 @@ impl AddressSpace {
         AddressSpace::default()
     }
 
+    /// The bitmap leaf at directory index `i`, or the empty leaf.
+    fn leaf(&self, i: usize) -> &Leaf {
+        self.dense
+            .get(i)
+            .and_then(Option::as_deref)
+            .unwrap_or(&EMPTY_LEAF)
+    }
+
     /// Returns `true` if `page` is resident.
     #[must_use]
     pub fn is_resident(&self, page: PageId) -> bool {
         let n = page.number();
         if n < DENSE_PAGES {
-            let (word, bit) = (n / 64, n % 64);
-            self.dense
-                .get(word as usize)
-                .is_some_and(|w| w & (1 << bit) != 0)
+            let (leaf, word, mask) = dense_position(n);
+            self.leaf(leaf)[word] & mask != 0
         } else {
             matches!(self.sparse.get(&page), Some(PageState::Resident))
         }
     }
 
-    /// Sets the residency bit of a dense page, growing the bitmap to cover
-    /// its word.  Returns `true` if the page was already resident.
+    /// Sets the residency bit of a dense page, growing the directory and
+    /// allocating its leaf as needed.  Returns `true` if the page was already
+    /// resident.
     fn dense_set(&mut self, n: u64) -> bool {
-        let (word, bit) = ((n / 64) as usize, n % 64);
-        if word >= self.dense.len() {
-            self.dense.resize(word + 1, 0);
+        let (leaf, word, mask) = dense_position(n);
+        if leaf >= self.dense.len() {
+            self.dense.resize_with(leaf + 1, || None);
         }
-        let w = &mut self.dense[word];
-        let was = *w & (1 << bit) != 0;
-        *w |= 1 << bit;
+        let w = &mut self.dense[leaf].get_or_insert_with(|| Box::new(EMPTY_LEAF))[word];
+        let was = *w & mask != 0;
+        *w |= mask;
         was
     }
 
@@ -141,9 +175,9 @@ impl AddressSpace {
     pub fn evict(&mut self, page: PageId) {
         let n = page.number();
         if n < DENSE_PAGES {
-            let (word, bit) = ((n / 64) as usize, n % 64);
-            if let Some(w) = self.dense.get_mut(word) {
-                *w &= !(1 << bit);
+            let (leaf, word, mask) = dense_position(n);
+            if let Some(Some(leaf)) = self.dense.get_mut(leaf) {
+                leaf[word] &= !mask;
             }
         } else {
             self.sparse.remove(&page);
@@ -153,7 +187,13 @@ impl AddressSpace {
     /// Number of currently resident pages.
     #[must_use]
     pub fn resident_pages(&self) -> usize {
-        let dense: u32 = self.dense.iter().map(|w| w.count_ones()).sum();
+        let dense: u32 = self
+            .dense
+            .iter()
+            .flatten()
+            .flat_map(|leaf| leaf.iter())
+            .map(|w| w.count_ones())
+            .sum();
         dense as usize
             + self
                 .sparse
@@ -175,10 +215,14 @@ impl AddressSpace {
         self.dense
             .iter()
             .enumerate()
-            .flat_map(|(word, &w)| {
-                (0..64)
-                    .filter(move |bit| w & (1 << bit) != 0)
-                    .map(move |bit| PageId::new(word as u64 * 64 + bit))
+            .filter_map(|(i, leaf)| leaf.as_deref().map(|leaf| (i, leaf)))
+            .flat_map(|(i, leaf)| {
+                leaf.iter().enumerate().flat_map(move |(word, &w)| {
+                    let first = ((i as u64) << LEAF_SHIFT) + word as u64 * 64;
+                    (0..64)
+                        .filter(move |bit| w & (1 << bit) != 0)
+                        .map(move |bit| PageId::new(first + bit))
+                })
             })
             .chain(
                 self.sparse
@@ -262,13 +306,37 @@ mod tests {
     }
 
     #[test]
+    fn workload_regions_stay_in_the_dense_bitmap() {
+        let mut s = AddressSpace::new();
+        for base in [
+            0x1000_0000u64,
+            0x4000_0000,
+            0x8000_0000,
+            0x9000_0000,
+            0xA000_0000,
+        ] {
+            let page = PageId::new(base / 4096 + 5);
+            assert!(s.touch(page));
+            assert!(s.is_resident(page));
+        }
+        assert!(
+            s.sparse.is_empty(),
+            "no workload page reaches the sparse map"
+        );
+        assert_eq!(s.dense.iter().flatten().count(), 5, "one leaf per region");
+        assert_eq!(s.resident_pages(), 5);
+    }
+
+    #[test]
     fn equality_ignores_bitmap_growth_history() {
         let mut a = AddressSpace::new();
         let mut b = AddressSpace::new();
-        // `a` grows its bitmap out to page 600 and then evicts it; `b` never
-        // touches that word.  Logically identical spaces must compare equal.
-        assert!(a.touch(PageId::new(600)));
-        a.evict(PageId::new(600));
+        // `a` grows its directory out to a far leaf and then evicts the page;
+        // `b` never touches that leaf.  Logically identical spaces must
+        // compare equal.
+        let far = PageId::new(0xA000_0000 / 4096 + 600);
+        assert!(a.touch(far));
+        a.evict(far);
         assert!(a.touch(PageId::new(1)));
         assert!(b.touch(PageId::new(1)));
         b.compulsory_faults = a.compulsory_faults;

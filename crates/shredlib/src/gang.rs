@@ -169,13 +169,17 @@ impl GangScheduler {
 
     fn wake_all(&self, core: &mut EngineCore, now: Cycles) {
         let Some(pid) = self.process else { return };
-        let threads: Vec<OsThreadId> = core
-            .kernel()
-            .process(pid)
-            .map(|p| p.threads().to_vec())
-            .unwrap_or_default();
-        for t in threads {
+        // Waking touches only the sequencer table, never the process's
+        // thread list, so indexing re-reads the same list without copying.
+        let thread_at = |core: &EngineCore, i: usize| {
+            core.kernel()
+                .process(pid)
+                .and_then(|p| p.threads().get(i).copied())
+        };
+        let mut i = 0;
+        while let Some(t) = thread_at(core, i) {
             core.wake_thread_sequencers(t, now);
+            i += 1;
         }
     }
 

@@ -66,7 +66,7 @@ impl EngineCore {
             kernel: Kernel::new(config.costs),
             stats: SimStats::new(sequencer_count),
             log,
-            programs: library.iter().map(|(_, p)| Arc::new(p.clone())).collect(),
+            programs: library.into_programs().into_iter().map(Arc::new).collect(),
         }
     }
 

@@ -1,6 +1,6 @@
 //! Property tests for the memory-hierarchy state machines: `Tlb` LRU
-//! replacement and the `misp-cache` LRU/MESI hierarchy, driven by random
-//! access/invalidate sequences.  Each sequence checks two kinds of promise:
+//! replacement, `AddressSpace` residency and the `misp-cache` LRU/MESI
+//! hierarchy, driven by random access/invalidate sequences.  Each sequence checks two kinds of promise:
 //! structural invariants (LRU content matches a reference model, MESI
 //! single-writer holds, no set overflows its associativity) and accounting
 //! conservation (hits + misses equal the accesses performed).
@@ -13,12 +13,13 @@
 
 use misp::cache::{CacheConfig, CacheGeometry, CacheHierarchy, MesiState, SetAssocCache};
 use misp::core::MispTopology;
-use misp::mem::Tlb;
+use misp::mem::{AddressSpace, Tlb};
 use misp::os::TimerConfig;
 use misp::sim::SimConfig;
 use misp::types::{Cycles, PageId, SequencerId, VirtAddr, PAGE_SIZE};
 use misp::workloads::{catalog, Machine, Run};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Deterministic splitmix64 stream for deriving operation sequences from one
 /// generated seed.
@@ -85,46 +86,170 @@ proptest! {
         prop_assert_eq!(stats.hits + stats.misses, lookups, "lookups conserved");
     }
 
-    /// One set-associative level against a per-set reference LRU model.
+    /// One set-associative level against a per-set reference LRU model (a
+    /// list per set, least-recently-used first — the shape of the former
+    /// per-set deque implementation).  Every operation's return value is
+    /// compared, and after every operation the cache's `lines()` must equal
+    /// the model set by set in LRU order, so a `peek` or `set_state` that
+    /// disturbed the replacement order would show up as a different next
+    /// victim.  Set counts 1..=9 exercise both the masked (power-of-two) and
+    /// the remainder set index.
     #[test]
     fn set_assoc_lru_matches_a_reference_model(
-        input in (any::<u64>(), 1u64..4, 1u64..4, 1u64..240)
+        input in (any::<u64>(), 1u64..10, 1u64..9, 1u64..400)
     ) {
         let (seed, sets, ways, ops) = input;
         let mut cache = SetAssocCache::new(CacheGeometry::new(sets as u32, ways as u32));
-        // Reference model: one MRU-at-the-back line list per set.
-        let mut model: Vec<Vec<u64>> = vec![Vec::new(); sets as usize];
+        let mut model: Vec<Vec<(u64, MesiState)>> = vec![Vec::new(); sets as usize];
+        let states = [MesiState::Modified, MesiState::Exclusive, MesiState::Shared];
         let mut state = seed;
         for _ in 0..ops {
             let r = splitmix(&mut state);
-            let line = r % 16;
+            // Two more candidate lines per set than it has ways, so sets
+            // fill and evict; bit 63 adds a second address-space tag.
+            let mut line = (r >> 8) % (sets * (ways + 2));
+            if r >> 63 == 1 {
+                line |= 1 << 44;
+            }
             let set = (line % sets) as usize;
-            match r % 8 {
-                7 => {
-                    cache.invalidate(line);
-                    model[set].retain(|l| *l != line);
+            let new_state = states[((r >> 4) % 3) as usize];
+            let pos = model[set].iter().position(|(l, _)| *l == line);
+            match r % 16 {
+                0..=5 => {
+                    let hit = cache.lookup(line);
+                    prop_assert_eq!(hit, pos.map(|p| model[set][p].1), "lookup {}", line);
+                    if let Some(p) = pos {
+                        let entry = model[set].remove(p);
+                        model[set].push(entry);
+                    } else {
+                        let victim = cache.insert(line, MesiState::Exclusive);
+                        let expected = if model[set].len() == ways as usize {
+                            Some(model[set].remove(0).0)
+                        } else {
+                            None
+                        };
+                        prop_assert_eq!(victim, expected, "victim of a fill of {}", line);
+                        model[set].push((line, MesiState::Exclusive));
+                    }
+                }
+                6..=8 => {
+                    // Insert, including re-inserts that change the state.
+                    let victim = cache.insert(line, new_state);
+                    let expected = match pos {
+                        Some(p) => {
+                            model[set].remove(p);
+                            None
+                        }
+                        None if model[set].len() == ways as usize => Some(model[set].remove(0).0),
+                        None => None,
+                    };
+                    prop_assert_eq!(victim, expected, "victim of an insert of {}", line);
+                    model[set].push((line, new_state));
+                }
+                9 | 10 => {
+                    let next_victim = model[set].first().copied();
+                    prop_assert_eq!(cache.peek(line), pos.map(|p| model[set][p].1));
+                    prop_assert_eq!(lru_of(&cache, sets, set), next_victim, "peek kept LRU");
+                }
+                11 | 12 => {
+                    prop_assert_eq!(cache.set_state(line, new_state), pos.is_some());
+                    if let Some(p) = pos {
+                        model[set][p].1 = new_state;
+                    }
+                    let next_victim = model[set].first().copied();
+                    prop_assert_eq!(
+                        lru_of(&cache, sets, set),
+                        next_victim,
+                        "set_state kept LRU"
+                    );
+                }
+                13 | 14 => {
+                    let removed = pos.map(|p| model[set].remove(p).1);
+                    prop_assert_eq!(cache.invalidate(line), removed, "invalidate {}", line);
                 }
                 _ => {
-                    let hit = cache.lookup(line).is_some();
-                    prop_assert_eq!(hit, model[set].contains(&line));
-                    if !hit {
-                        cache.insert(line, MesiState::Exclusive);
-                    }
-                    model[set].retain(|l| *l != line);
-                    model[set].push(line);
-                    if model[set].len() > ways as usize {
-                        model[set].remove(0);
-                    }
+                    let resident: usize = model.iter().map(Vec::len).sum();
+                    prop_assert_eq!(cache.clear(), resident);
+                    model.iter_mut().for_each(Vec::clear);
                 }
             }
             let model_len: usize = model.iter().map(Vec::len).sum();
             prop_assert_eq!(cache.len(), model_len);
-            for lines in &model {
-                for l in lines {
-                    prop_assert!(cache.peek(*l).is_some(), "model line {} cached", l);
-                }
-            }
+            prop_assert_eq!(cache.is_empty(), model_len == 0);
+            let lines: Vec<(u64, MesiState)> = cache.lines().collect();
+            let expected: Vec<(u64, MesiState)> = model.iter().flatten().copied().collect();
+            prop_assert_eq!(lines, expected, "lines() in set order, LRU first");
         }
+        // Equality is logical: a fresh cache filled with the model's lines
+        // in LRU order equals the exercised one, stale ways and all.
+        let mut rebuilt = SetAssocCache::new(cache.geometry());
+        for (line, state) in model.iter().flatten() {
+            rebuilt.insert(*line, *state);
+        }
+        prop_assert_eq!(&rebuilt, &cache);
+    }
+
+    /// `AddressSpace` residency against a `BTreeSet` oracle over pages near
+    /// every workload region base, across the leaf and word boundaries of the
+    /// bitmap, across the 2^24-page boundary into the sparse map, and above
+    /// 2^32 pages.
+    #[test]
+    fn address_space_residency_matches_a_set_oracle(
+        input in (any::<u64>(), 1u64..300)
+    ) {
+        let (seed, ops) = input;
+        // Region bases in pages: page 0, the workload bases (MAIN, WORKER,
+        // SHARED, COMPETITOR, SESSION), the dense/sparse boundary, and
+        // pages above 2^32.
+        let anchors: [u64; 8] = [
+            0,
+            0x1000_0000 / PAGE_SIZE,
+            0x4000_0000 / PAGE_SIZE,
+            0x8000_0000 / PAGE_SIZE,
+            0x9000_0000 / PAGE_SIZE,
+            0xA000_0000 / PAGE_SIZE,
+            1 << 24,
+            1 << 32,
+        ];
+        let mut space = AddressSpace::new();
+        let mut model: BTreeSet<u64> = BTreeSet::new();
+        let mut faults = 0u64;
+        let mut state = seed;
+        for _ in 0..ops {
+            let r = splitmix(&mut state);
+            let anchor = anchors[(r % 8) as usize];
+            // Offsets straddle the anchor by 64 pages on each side, or land
+            // near the end of its first 4096-page leaf.
+            let offset = if r & (1 << 20) == 0 {
+                (r >> 24) % 128
+            } else {
+                4096 - 64 + (r >> 24) % 128
+            };
+            let page = (anchor + offset).saturating_sub(64);
+            let id = PageId::new(page);
+            match (r >> 8) % 8 {
+                0..=3 => {
+                    let faulted = space.touch(id);
+                    prop_assert_eq!(faulted, model.insert(page), "touch {}", page);
+                    faults += u64::from(faulted);
+                }
+                4 => {
+                    space.pretouch(id);
+                    model.insert(page);
+                }
+                5 => {
+                    space.evict(id);
+                    model.remove(&page);
+                }
+                _ => {}
+            }
+            prop_assert_eq!(space.is_resident(id), model.contains(&page), "page {}", page);
+            prop_assert_eq!(space.resident_pages(), model.len());
+            prop_assert_eq!(space.compulsory_faults(), faults);
+        }
+        let mut resident: Vec<u64> = space.iter_resident().map(|p| p.number()).collect();
+        resident.sort_unstable();
+        prop_assert_eq!(resident, model.into_iter().collect::<Vec<u64>>());
     }
 
     /// The full hierarchy under random load/store/flush sequences: the MESI
@@ -177,6 +302,13 @@ proptest! {
             prop_assert_eq!(stats.accesses(), *expected, "sequencer {} conserves", i);
         }
     }
+}
+
+/// The LRU `(line, state)` of `set` according to `lines()`.
+fn lru_of(cache: &SetAssocCache, sets: u64, set: usize) -> Option<(u64, MesiState)> {
+    cache
+        .lines()
+        .find(|(line, _)| (line % sets) as usize == set)
 }
 
 fn quick_config() -> SimConfig {

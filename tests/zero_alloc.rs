@@ -14,6 +14,7 @@
 //! while it is armed are counted, so sibling tests running in parallel under
 //! the default test harness cannot inflate a measurement.
 
+use misp::cache::CacheConfig;
 use misp::core::{MispMachine, MispTopology};
 use misp::isa::ProgramLibrary;
 use misp::os::TimerConfig;
@@ -90,20 +91,23 @@ fn params(chunks: u64) -> WorkloadParams {
     }
 }
 
+/// The audited configuration: the default, with a short timer slice.
+fn audit_config() -> SimConfig {
+    SimConfig {
+        timer: TimerConfig::new(Cycles::new(3_000_000), 10),
+        ..SimConfig::default()
+    }
+}
+
 /// Builds the machine outside the measurement, then runs it and returns
 /// (allocations during the run only, executed ops).
 fn measured_run(chunks: u64) -> (u64, u64) {
-    measured_run_with_trace(chunks, TraceConfig::default())
+    measured_run_with(chunks, audit_config())
 }
 
-fn measured_run_with_trace(chunks: u64, trace: TraceConfig) -> (u64, u64) {
+fn measured_run_with(chunks: u64, config: SimConfig) -> (u64, u64) {
     let workload = Workload::new("alloc-audit", Suite::Rms, params(chunks));
     let topo = MispTopology::uniprocessor(3).unwrap();
-    let config = SimConfig {
-        timer: TimerConfig::new(Cycles::new(3_000_000), 10),
-        trace,
-        ..SimConfig::default()
-    };
     let mut library = ProgramLibrary::new();
     let scheduler = workload.build(&mut library, 4);
     let mut machine = MispMachine::new(topo, config, library);
@@ -149,10 +153,7 @@ fn steady_state_step_loop_does_not_allocate() {
 /// only, executed ops across the fleet).
 fn measured_fleet_run(chunks: u64) -> (u64, u64) {
     let topo = MispTopology::uniprocessor(3).unwrap();
-    let config = SimConfig {
-        timer: TimerConfig::new(Cycles::new(3_000_000), 10),
-        ..SimConfig::default()
-    };
+    let config = audit_config();
     let mut fleet = FleetEngine::new(Cycles::new(1_000));
     for _ in 0..2 {
         let workload = Workload::new("alloc-audit", Suite::Rms, params(chunks));
@@ -241,14 +242,17 @@ fn mailbox_posting_and_draining_do_not_allocate_within_capacity() {
 /// a traced run must not allocate per operation or per trace event.
 #[test]
 fn steady_state_step_loop_does_not_allocate_while_tracing() {
-    let traced = TraceConfig {
-        enabled: true,
-        ..TraceConfig::default()
+    let traced = SimConfig {
+        trace: TraceConfig {
+            enabled: true,
+            ..TraceConfig::default()
+        },
+        ..audit_config()
     };
-    let _ = measured_run_with_trace(1_000, traced);
+    let _ = measured_run_with(1_000, traced);
 
-    let (alloc_1x, ops_1x) = measured_run_with_trace(100_000, traced);
-    let (alloc_2x, ops_2x) = measured_run_with_trace(200_000, traced);
+    let (alloc_1x, ops_1x) = measured_run_with(100_000, traced);
+    let (alloc_2x, ops_2x) = measured_run_with(200_000, traced);
 
     assert!(
         ops_2x > ops_1x + 100_000,
@@ -258,6 +262,30 @@ fn steady_state_step_loop_does_not_allocate_while_tracing() {
     assert!(
         delta <= 64,
         "traced hot loop allocated: {alloc_1x} allocations for {ops_1x} ops vs \
+         {alloc_2x} for {ops_2x} ops (delta {delta})"
+    );
+}
+
+/// The same audit with the cache hierarchy *enabled*: the L1/L2 arrays are
+/// sized at machine construction and the miss-classification sets stop
+/// growing once the bounded working set has been touched, so cache lookups,
+/// fills, evictions and coherence probes must not allocate per operation.
+#[test]
+fn steady_state_step_loop_does_not_allocate_with_caches() {
+    let cached = audit_config().with_cache(CacheConfig::enabled_default());
+    let _ = measured_run_with(1_000, cached);
+
+    let (alloc_1x, ops_1x) = measured_run_with(100_000, cached);
+    let (alloc_2x, ops_2x) = measured_run_with(200_000, cached);
+
+    assert!(
+        ops_2x > ops_1x + 100_000,
+        "doubling the chunks must add real operations (got {ops_1x} vs {ops_2x})"
+    );
+    let delta = alloc_2x.abs_diff(alloc_1x);
+    assert!(
+        delta <= 64,
+        "cache-enabled hot loop allocated: {alloc_1x} allocations for {ops_1x} ops vs \
          {alloc_2x} for {ops_2x} ops (delta {delta})"
     );
 }
