@@ -172,7 +172,7 @@ fn execute_fleet_sim(
     options: RunOptions,
     seed: u64,
 ) -> Result<(RunRecord, RunArtifacts)> {
-    let fleet = fleet_spec.build();
+    let fleet = fleet_spec.try_build()?;
     let stride = sequencer_stride(&machine);
     let mut report = Run::scenario(s)
         .machine(machine)
@@ -456,6 +456,26 @@ mod tests {
         );
         let err = execute_run(0, &spec).unwrap_err();
         assert!(matches!(err, MispError::InvalidConfiguration(_)));
+    }
+
+    #[test]
+    fn invalid_fleet_spec_is_a_configuration_error() {
+        let poisson = || crate::ScenarioSpec::new("poisson").with_requests(10);
+        let rr = misp_core::LoadBalancerPolicy::RoundRobin;
+        for fleet in [
+            FleetSpec::new(0, rr),
+            FleetSpec::new(2, rr).with_network_latency(0),
+        ] {
+            let spec = RunSpec::sim(
+                "x",
+                SimSpec::scenario(poisson(), MachineSpec::Serial).with_fleet(fleet),
+            );
+            let err = execute_run(0, &spec).unwrap_err();
+            assert!(
+                matches!(err, MispError::InvalidConfiguration(_)),
+                "{fleet:?}: {err:?}"
+            );
+        }
     }
 
     #[test]

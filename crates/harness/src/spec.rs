@@ -8,7 +8,7 @@
 
 use misp_cache::CacheConfig;
 use misp_core::{FleetTopology, LoadBalancerPolicy, MispTopology, RingPolicy};
-use misp_types::{Cycles, SignalCost};
+use misp_types::{Cycles, Result, SignalCost};
 
 /// How the machine of one grid point is built.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -203,17 +203,24 @@ impl FleetSpec {
     ///
     /// # Panics
     ///
-    /// Panics on a zero machine count or zero latency; grid declarations are
-    /// static data, so either is a programming error, not an input error.
+    /// Panics on a zero machine count or zero latency.  For a spec that did
+    /// not come from a static grid declaration, use [`FleetSpec::try_build`].
     #[must_use]
     pub fn build(&self) -> FleetTopology {
-        match self.network_latency {
-            Some(cycles) => {
-                FleetTopology::with_network_latency(self.machines, self.policy, Cycles::new(cycles))
-            }
-            None => FleetTopology::new(self.machines, self.policy),
-        }
-        .expect("valid fleet spec")
+        self.try_build().expect("valid fleet spec")
+    }
+
+    /// Builds the concrete fleet topology, or reports why it is invalid.
+    ///
+    /// # Errors
+    ///
+    /// [`misp_types::MispError::InvalidConfiguration`] on a zero machine
+    /// count or zero latency.
+    pub fn try_build(&self) -> Result<FleetTopology> {
+        let latency = self
+            .network_latency
+            .map_or(FleetTopology::DEFAULT_NETWORK_LATENCY, Cycles::new);
+        FleetTopology::with_network_latency(self.machines, self.policy, latency)
     }
 
     /// A short label for run ids (`"fleet16-rr"`).

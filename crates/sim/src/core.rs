@@ -54,7 +54,7 @@ impl EngineCore {
         // The cache hierarchy is deliberately NOT built here: its clustering
         // (which sequencers share an L2) is the platform's knowledge, so
         // every platform's `init` must call `MemorySystem::configure_caches`
-        // — `Engine::run` asserts it happened when the config enables the
+        // — `Machine::start` asserts it happened when the config enables the
         // cache model.
         EngineCore {
             config,

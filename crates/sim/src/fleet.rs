@@ -11,9 +11,9 @@
 //! machines, workloads and mailbox traffic replay byte-identically at any
 //! harness thread count, exactly like the single-machine engine.
 //!
-//! A fleet of one degenerates to the historical engine loop: with no
-//! neighbours there is no lookahead bound, so the single shard runs to
-//! completion in one window.  [`crate::Engine`] is exactly that facade.
+//! A fleet of one degenerates to [`Machine::run`]: with no neighbours there
+//! is no lookahead bound, so the single shard runs to completion in one
+//! window.
 
 use crate::machine::{Machine, MachineStatus, SimReport};
 use crate::stats::ServiceStats;
@@ -235,20 +235,6 @@ impl<P: Platform> FleetEngine<P> {
     #[must_use]
     pub fn machine(&self, id: MachineId) -> Option<&Machine<P>> {
         self.machines.get(id)
-    }
-
-    /// Mutable access to machine `id`, used while assembling the fleet.
-    pub fn machine_mut(&mut self, id: MachineId) -> Option<&mut Machine<P>> {
-        self.machines.get_mut(id)
-    }
-
-    /// Consumes the fleet, yielding its machines in [`MachineId`] order.
-    pub fn drain(self) -> impl Iterator<Item = (MachineId, Machine<P>)> {
-        self.machines
-            .into_items()
-            .into_iter()
-            .enumerate()
-            .map(|(i, m)| (MachineId::new(i as u32), m))
     }
 
     /// Posts a cross-machine message sent at `send_time`: it is delivered

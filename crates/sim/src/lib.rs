@@ -27,7 +27,7 @@
 //!
 //! ```
 //! use misp_isa::{ProgramBuilder, ProgramLibrary};
-//! use misp_sim::{Engine, LocalPlatform, SimConfig, SingleShredRuntime};
+//! use misp_sim::{LocalPlatform, Machine, SimConfig, SingleShredRuntime};
 //! use misp_types::Cycles;
 //!
 //! let mut library = ProgramLibrary::new();
@@ -36,13 +36,10 @@
 //! );
 //!
 //! let config = SimConfig::default();
-//! let mut engine = Engine::new(config, 1, library, LocalPlatform::new(1));
-//! let pid = engine.core_mut().kernel_mut().spawn_process("demo");
-//! let tid = engine.core_mut().kernel_mut().spawn_thread(pid);
-//! engine.core_mut().memory_mut().register_process(pid);
-//! engine.add_runtime(pid, Box::new(SingleShredRuntime::new(main)));
-//! engine.platform_mut().pin_thread(tid, 0);
-//! let report = engine.run().unwrap();
+//! let mut machine = Machine::new(config, 1, library, LocalPlatform::new(1));
+//! let (_, tid) = machine.spawn_process("demo", Box::new(SingleShredRuntime::new(main)));
+//! machine.platform_mut().pin_thread(tid, 0);
+//! let report = machine.run().unwrap();
 //! assert!(report.total_cycles >= Cycles::new(10_000));
 //! ```
 
@@ -52,7 +49,6 @@
 
 mod config;
 mod core;
-mod engine;
 mod event;
 mod fleet;
 mod local;
@@ -66,7 +62,6 @@ mod stats;
 
 pub use config::SimConfig;
 pub use core::{EngineCore, SavedContext};
-pub use engine::Engine;
 pub use event::{Event, EventQueue, ScheduledEvent};
 pub use fleet::{FleetEngine, FleetMessage, FleetReport, Mailbox};
 pub use local::LocalPlatform;

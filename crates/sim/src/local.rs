@@ -118,7 +118,7 @@ impl Platform for LocalPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Engine, SimConfig, SingleShredRuntime};
+    use crate::{Machine, SimConfig, SingleShredRuntime};
     use misp_isa::{ProgramBuilder, ProgramLibrary, SyscallKind};
     use misp_os::TimerConfig;
     use misp_types::{CostModel, VirtAddr};
@@ -136,7 +136,7 @@ mod tests {
             timer: TimerConfig::disabled(),
             ..SimConfig::default()
         };
-        let mut engine = Engine::new(config, 1, lib, LocalPlatform::new(1));
+        let mut engine = Machine::new(config, 1, lib, LocalPlatform::new(1));
         let pid = engine.core_mut().kernel_mut().spawn_process("p");
         let tid = engine.core_mut().kernel_mut().spawn_thread(pid);
         engine.add_runtime(
@@ -164,7 +164,7 @@ mod tests {
             timer: TimerConfig::disabled(),
             ..SimConfig::default()
         };
-        let mut engine = Engine::new(config, 1, lib, LocalPlatform::new(1));
+        let mut engine = Machine::new(config, 1, lib, LocalPlatform::new(1));
         let pid = engine.core_mut().kernel_mut().spawn_process("p");
         let tid = engine.core_mut().kernel_mut().spawn_thread(pid);
         engine.add_runtime(
@@ -191,7 +191,7 @@ mod tests {
             timer: TimerConfig::new(Cycles::new(1_000_000), 10),
             ..SimConfig::default()
         };
-        let mut engine = Engine::new(config, 1, lib, LocalPlatform::new(1));
+        let mut engine = Machine::new(config, 1, lib, LocalPlatform::new(1));
         let pid = engine.core_mut().kernel_mut().spawn_process("p");
         let tid = engine.core_mut().kernel_mut().spawn_thread(pid);
         engine.add_runtime(
@@ -214,7 +214,7 @@ mod tests {
             timer: TimerConfig::disabled(),
             ..SimConfig::default()
         };
-        let mut engine = Engine::new(config, 2, lib, LocalPlatform::new(2));
+        let mut engine = Machine::new(config, 2, lib, LocalPlatform::new(2));
         let pid = engine.core_mut().kernel_mut().spawn_process("p");
         let t0 = engine.core_mut().kernel_mut().spawn_thread(pid);
         let t1 = engine.core_mut().kernel_mut().spawn_thread(pid);
@@ -242,7 +242,7 @@ mod tests {
                 })
                 .build()]);
             let config = SimConfig::default();
-            let mut engine = Engine::new(config, 1, lib, LocalPlatform::new(1));
+            let mut engine = Machine::new(config, 1, lib, LocalPlatform::new(1));
             let pid = engine.core_mut().kernel_mut().spawn_process("p");
             let tid = engine.core_mut().kernel_mut().spawn_thread(pid);
             engine.add_runtime(
@@ -258,7 +258,7 @@ mod tests {
     #[test]
     fn missing_runtime_is_an_error() {
         let lib = ProgramLibrary::new();
-        let mut engine = Engine::new(SimConfig::default(), 1, lib, LocalPlatform::new(1));
+        let mut engine = Machine::new(SimConfig::default(), 1, lib, LocalPlatform::new(1));
         let err = engine.run().unwrap_err();
         assert!(matches!(
             err,

@@ -15,9 +15,10 @@
 //!   queue.
 //! * [`Machine::finish_report`] — folds the statistics into a [`SimReport`].
 //!
-//! Calling `start` followed by `advance(None)` is exactly the historical
-//! single-machine run loop; [`crate::Engine`] packages that as a fleet of
-//! one.
+//! [`Machine::run`] is `start` followed by one unbounded `advance(None)`
+//! and `finish_report`: the single-machine run loop.
+//! [`crate::FleetEngine::run`] calls the same three steps, interleaving
+//! many machines under conservative lookahead windows.
 
 use crate::core::EngineCore;
 use crate::{Event, LogKind, Platform, Runtime, RuntimeOutcome, ShredStatus, SimConfig, SimStats};
@@ -179,6 +180,22 @@ impl<P: Platform> Machine<P> {
         self.measured = processes;
     }
 
+    /// Spawns a process named `name` served by `runtime`: registers its
+    /// address space, attaches the runtime and spawns its first OS thread.
+    /// Placing that thread on a sequencer is the platform's business, so it
+    /// is left to the caller.
+    pub fn spawn_process(
+        &mut self,
+        name: &str,
+        runtime: Box<dyn Runtime>,
+    ) -> (ProcessId, OsThreadId) {
+        let pid = self.core.kernel_mut().spawn_process(name);
+        self.core.memory_mut().register_process(pid);
+        self.add_runtime(pid, runtime);
+        let tid = self.core.kernel_mut().spawn_thread(pid);
+        (pid, tid)
+    }
+
     /// Whether every measured process has completed.
     #[must_use]
     pub fn is_finished(&self) -> bool {
@@ -302,6 +319,25 @@ impl<P: Platform> Machine<P> {
             }
         }
         Ok(())
+    }
+
+    /// Runs the machine to completion on its own: [`Machine::start`], one
+    /// unbounded [`Machine::advance`], then [`Machine::finish_report`].
+    ///
+    /// # Errors
+    ///
+    /// * [`MispError::InvalidConfiguration`] if no runtime was attached.
+    /// * [`MispError::CycleBudgetExhausted`] if the configured budget
+    ///   elapses before every measured process finishes.
+    /// * [`MispError::Deadlock`] if the event queue drains while measured
+    ///   work remains.
+    pub fn run(&mut self) -> Result<SimReport> {
+        self.start()?;
+        match self.advance(None)? {
+            MachineStatus::Finished => Ok(self.finish_report()),
+            MachineStatus::Idle => Err(self.deadlock_error()),
+            MachineStatus::Paused => unreachable!("an unbounded advance never pauses"),
+        }
     }
 
     /// Processes queued events strictly before `horizon` (all of them when
@@ -814,5 +850,189 @@ impl<P: Platform> Machine<P> {
             self.core.schedule_ready(seq, next_ready);
             return Ok(false);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::core::EngineCore;
+    use crate::{LocalPlatform, Platform, SingleShredRuntime};
+    use misp_isa::{ProgramBuilder, SyscallKind};
+    use misp_os::{OsEventKind, TimerConfig};
+    use misp_types::SequencerId;
+
+    /// Wraps [`LocalPlatform`] and, on the first syscall, opens three
+    /// overlapping stall windows on sequencer 1: a short one, a longer one
+    /// that extends it, and a superseded shorter one that must change
+    /// nothing.  The stale-window regression below pins the resume time.
+    #[derive(Debug)]
+    struct OverlappingStallPlatform {
+        inner: LocalPlatform,
+        stalled_once: bool,
+    }
+
+    impl Platform for OverlappingStallPlatform {
+        fn init(&mut self, core: &mut EngineCore) {
+            self.inner.init(core);
+        }
+
+        fn on_priv_event(
+            &mut self,
+            core: &mut EngineCore,
+            seq: SequencerId,
+            kind: OsEventKind,
+            now: Cycles,
+        ) -> Cycles {
+            if kind == OsEventKind::Syscall && !self.stalled_once {
+                self.stalled_once = true;
+                let victim = SequencerId::new(1);
+                core.stall(victim, now, now + Cycles::new(500));
+                // A longer overlapping window extends the stall...
+                core.stall(victim, now, now + Cycles::new(2_000));
+                // ...and a superseded shorter window must not resume early,
+                // no matter how stall-end events are scheduled or batched.
+                core.stall(victim, now, now + Cycles::new(1_000));
+            }
+            self.inner.on_priv_event(core, seq, kind, now)
+        }
+
+        fn on_timer_tick(
+            &mut self,
+            core: &mut EngineCore,
+            cpu: SequencerId,
+            tick: u64,
+            now: Cycles,
+        ) {
+            self.inner.on_timer_tick(core, cpu, tick, now);
+        }
+    }
+
+    fn run_overlapping_stall(batch: bool) -> SimReport {
+        let config = SimConfig {
+            timer: TimerConfig::disabled(),
+            batch,
+            ..SimConfig::default()
+        };
+        let mut library = ProgramLibrary::new();
+        let staller = library.insert(
+            ProgramBuilder::new("staller")
+                .compute(Cycles::new(100))
+                .syscall(SyscallKind::Io)
+                .build(),
+        );
+        let victim = library.insert(
+            ProgramBuilder::new("victim")
+                .compute(Cycles::new(10_000))
+                .build(),
+        );
+        let mut inner = LocalPlatform::new(2);
+        inner.disable_timer();
+        let platform = OverlappingStallPlatform {
+            inner,
+            stalled_once: false,
+        };
+        let mut engine = Machine::new(config, 2, library, platform);
+        let p0 = engine.core_mut().kernel_mut().spawn_process("staller");
+        let t0 = engine.core_mut().kernel_mut().spawn_thread(p0);
+        let p1 = engine.core_mut().kernel_mut().spawn_process("victim");
+        let t1 = engine.core_mut().kernel_mut().spawn_thread(p1);
+        engine.add_runtime(p0, Box::new(SingleShredRuntime::new(staller)));
+        engine.add_runtime(p1, Box::new(SingleShredRuntime::new(victim)));
+        engine.platform_mut().inner.pin_thread(t0, 0);
+        engine.platform_mut().inner.pin_thread(t1, 1);
+        engine.run().unwrap()
+    }
+
+    /// Regression test for stale stall-end handling: after a window is
+    /// extended, the superseded shorter window's end must not resume the
+    /// sequencer early — with the macro-step fast paths on or off, the
+    /// victim resumes exactly when the longest window closes.
+    #[test]
+    fn superseded_stall_window_does_not_resume_early() {
+        let switch = SimConfig::default().costs.shred_context_switch;
+        // The victim installs (shred_context_switch) and computes 10k cycles;
+        // the staller's syscall at `switch + 100` opens windows ending 500,
+        // 2000 and (superseded) 1000 cycles later.  The victim's in-flight
+        // compute has `switch + 10_000 - (switch + 100) = 9_900` cycles left,
+        // so it completes at `switch + 100 + 2_000 + 9_900 = switch+12_000`.
+        let expected = switch + Cycles::new(12_000);
+        for batch in [true, false] {
+            let report = run_overlapping_stall(batch);
+            assert_eq!(
+                report.completion_of(misp_types::ProcessId::new(1)),
+                Some(expected),
+                "victim resume time (batch = {batch})"
+            );
+            assert_eq!(
+                report.stats.per_sequencer[1].stalled,
+                Cycles::new(2_000),
+                "only the merged window is charged (batch = {batch})"
+            );
+        }
+        // And the two modes agree on everything else, down to the log digest.
+        let on = run_overlapping_stall(true);
+        let off = run_overlapping_stall(false);
+        assert_eq!(on.total_cycles, off.total_cycles);
+        assert_eq!(on.completions, off.completions);
+        assert_eq!(on.log_digest, off.log_digest);
+    }
+
+    /// A one-process machine on [`LocalPlatform`] running `compute` cycles,
+    /// with the timer off.  `pin` places the process's thread on sequencer
+    /// 0; without it the thread never gets a sequencer.
+    fn local_machine(compute: u64, budget: Cycles, pin: bool) -> Machine<LocalPlatform> {
+        let config = SimConfig {
+            timer: TimerConfig::disabled(),
+            cycle_budget: budget,
+            ..SimConfig::default()
+        };
+        let mut library = ProgramLibrary::new();
+        let main = library.insert(
+            ProgramBuilder::new("main")
+                .compute(Cycles::new(compute))
+                .build(),
+        );
+        let mut platform = LocalPlatform::new(1);
+        platform.disable_timer();
+        let mut machine = Machine::new(config, 1, library, platform);
+        let (_, tid) = machine.spawn_process("p", Box::new(SingleShredRuntime::new(main)));
+        if pin {
+            machine.platform_mut().pin_thread(tid, 0);
+        }
+        machine
+    }
+
+    /// `Machine::run` and a fleet holding only that machine fail the same
+    /// way: the single-machine loop is the fleet loop with no neighbours.
+    fn assert_same_error(make: impl Fn() -> Machine<LocalPlatform>, expected: &MispError) {
+        let solo = make().run().unwrap_err();
+        let mut fleet = crate::FleetEngine::new(Cycles::new(1));
+        fleet.add_machine(make());
+        let fleet_err = fleet.run().unwrap_err();
+        assert_eq!(&solo, expected);
+        assert_eq!(fleet_err, solo);
+    }
+
+    #[test]
+    fn budget_below_the_program_is_exhausted() {
+        let budget = Cycles::new(1_000);
+        assert_same_error(
+            || local_machine(10_000, budget, true),
+            &MispError::CycleBudgetExhausted {
+                budget: budget.as_u64(),
+            },
+        );
+    }
+
+    #[test]
+    fn thread_without_a_sequencer_deadlocks() {
+        let budget = SimConfig::default().cycle_budget;
+        assert_same_error(
+            || local_machine(10_000, budget, false),
+            &MispError::Deadlock {
+                detail: "event queue drained with 1 measured process(es) incomplete".to_string(),
+            },
+        );
     }
 }

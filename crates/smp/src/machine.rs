@@ -2,17 +2,18 @@
 
 use crate::SmpPlatform;
 use misp_isa::ProgramLibrary;
-use misp_sim::{Engine, Runtime, SimConfig, SimReport};
+use misp_sim::{Machine, Runtime, SimConfig, SimReport};
 use misp_types::{OsThreadId, ProcessId, Result};
 
 /// A fully-assembled SMP machine: cores, engine, OS processes and runtimes.
 ///
-/// The shape mirrors [`misp_core::MispMachine`](https://docs.rs) so that the
-/// experiment harnesses can run the same workload on both machines and compare
-/// them, exactly as the paper does in Figures 4, 5 and 7.
+/// The shape mirrors
+/// [`misp_core::MispMachine`](../misp_core/struct.MispMachine.html) so that
+/// the experiment harnesses can run the same workload on both machines and
+/// compare them, exactly as the paper does in Figures 4, 5 and 7.
 #[derive(Debug)]
 pub struct SmpMachine {
-    engine: Engine<SmpPlatform>,
+    engine: Machine<SmpPlatform>,
 }
 
 impl SmpMachine {
@@ -21,7 +22,7 @@ impl SmpMachine {
     pub fn new(cores: usize, config: SimConfig, library: ProgramLibrary) -> Self {
         let platform = SmpPlatform::new(cores);
         SmpMachine {
-            engine: Engine::new(config, cores, library, platform),
+            engine: Machine::new(config, cores, library, platform),
         }
     }
 
@@ -33,10 +34,7 @@ impl SmpMachine {
         runtime: Box<dyn Runtime>,
         core: Option<usize>,
     ) -> ProcessId {
-        let pid = self.engine.core_mut().kernel_mut().spawn_process(name);
-        self.engine.core_mut().memory_mut().register_process(pid);
-        self.engine.add_runtime(pid, runtime);
-        let tid = self.engine.core_mut().kernel_mut().spawn_thread(pid);
+        let (pid, tid) = self.engine.spawn_process(name, runtime);
         self.place(tid, core);
         pid
     }
@@ -61,30 +59,30 @@ impl SmpMachine {
         self.engine.set_measured(processes);
     }
 
-    /// The underlying engine.
+    /// The underlying simulated machine.
     #[must_use]
-    pub fn engine(&self) -> &Engine<SmpPlatform> {
+    pub fn engine(&self) -> &Machine<SmpPlatform> {
         &self.engine
     }
 
-    /// Mutable access to the underlying engine.
-    pub fn engine_mut(&mut self) -> &mut Engine<SmpPlatform> {
+    /// Mutable access to the underlying simulated machine.
+    pub fn engine_mut(&mut self) -> &mut Machine<SmpPlatform> {
         &mut self.engine
     }
 
     /// Surrenders the assembled machine so it can join a multi-machine
     /// [`misp_sim::FleetEngine`].
     #[must_use]
-    pub fn into_sim_machine(self) -> misp_sim::Machine<SmpPlatform> {
-        self.engine.into_machine()
+    pub fn into_sim_machine(self) -> Machine<SmpPlatform> {
+        self.engine
     }
 
     /// Runs the simulation to completion.
     ///
     /// # Errors
     ///
-    /// Propagates the engine's errors (cycle-budget exhaustion, deadlock,
-    /// missing runtime).
+    /// Propagates [`Machine::run`]'s errors (cycle-budget exhaustion,
+    /// deadlock, missing runtime).
     pub fn run(&mut self) -> Result<SimReport> {
         self.engine.run()
     }

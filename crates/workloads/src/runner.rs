@@ -18,11 +18,12 @@
 //! ```
 
 use crate::{competitor, scenario::Scenario, Workload};
-use misp_core::{FleetTopology, MispMachine, MispTopology, RingPolicy};
-use misp_isa::ProgramLibrary;
-use misp_sim::{FleetEngine, FleetReport, SimConfig, SimReport};
-use misp_smp::SmpMachine;
+use misp_core::{FleetTopology, MispMachine, MispPlatform, MispTopology, RingPolicy};
+use misp_isa::{ProgramLibrary, ProgramRef};
+use misp_sim::{FleetEngine, FleetReport, Machine as SimMachine, Platform, SimConfig, SimReport};
+use misp_smp::{SmpMachine, SmpPlatform};
 use misp_types::{MispError, Result};
+use shredlib::GangScheduler;
 
 /// Options that select the non-default variants of a workload run: the page
 /// pre-touch optimization, the ring-transition policy ablation, and the
@@ -214,65 +215,9 @@ impl<'a> Run<'a> {
             }
             Source::Scenario(s) => (s.name(), s.build(&mut library, self.seed)),
         };
-        let competitor_programs: Vec<_> = (0..self.options.competitors)
-            .map(|i| {
-                competitor::competitor_program(&mut library, i, self.options.competitor_cycles)
-            })
-            .collect();
-
-        match self.machine {
-            Machine::Misp(ref topology) => {
-                let mut machine = MispMachine::new(topology.clone(), self.config, library);
-                if let Some(policy) = self.options.ring_policy {
-                    machine.engine_mut().platform_mut().set_policy(policy);
-                }
-                let pid = machine.add_process(name, Box::new(scheduler), Some(0));
-                for proc_idx in 1..topology.processors().len() {
-                    if !self.options.ams_span_only
-                        || !topology.processors()[proc_idx].ams().is_empty()
-                    {
-                        machine.add_thread(pid, Some(proc_idx));
-                    }
-                }
-                for program in competitor_programs {
-                    machine.add_process(
-                        "competitor",
-                        Box::new(competitor::competitor_runtime(program)),
-                        None,
-                    );
-                }
-                if self.options.competitors > 0 {
-                    machine.set_measured(vec![pid]);
-                }
-                machine.run()
-            }
-            Machine::Smp { cores } => {
-                let mut machine = SmpMachine::new(cores, self.config, library);
-                let pid = machine.add_process(name, Box::new(scheduler), Some(0));
-                for core in 1..cores {
-                    machine.add_thread(pid, Some(core));
-                }
-                for program in competitor_programs {
-                    machine.add_process(
-                        "competitor",
-                        Box::new(competitor::competitor_runtime(program)),
-                        None,
-                    );
-                }
-                if self.options.competitors > 0 {
-                    machine.set_measured(vec![pid]);
-                }
-                machine.run()
-            }
-            Machine::Serial => {
-                let topology =
-                    MispTopology::uniprocessor(0).expect("single-sequencer topology is valid");
-                Run {
-                    machine: Machine::Misp(topology),
-                    ..self
-                }
-                .execute()
-            }
+        match self.machine.target() {
+            Target::Misp(topology) => self.misp_machine(&topology, library, name, scheduler).run(),
+            Target::Smp(cores) => self.smp_machine(cores, library, name, scheduler).run(),
         }
     }
 
@@ -310,52 +255,121 @@ impl<'a> Run<'a> {
             ));
         }
         let streams = scenario.fleet_streams(self.seed, fleet);
+        let parts = streams.per_machine.iter().map(|stream| {
+            let mut library = ProgramLibrary::new();
+            let scheduler = scenario.build_from_stream(&mut library, stream);
+            (library, scheduler)
+        });
+        let name = scenario.name();
+        match self.machine.target() {
+            Target::Misp(topology) => run_fleet(
+                fleet,
+                parts.map(|(library, scheduler)| {
+                    self.misp_machine(&topology, library, name, scheduler)
+                }),
+            ),
+            Target::Smp(cores) => run_fleet(
+                fleet,
+                parts.map(|(library, scheduler)| self.smp_machine(cores, library, name, scheduler)),
+            ),
+        }
+    }
 
-        match self.machine {
-            Machine::Misp(ref topology) => {
-                let mut engine = FleetEngine::new(fleet.network_latency());
-                for stream in &streams.per_machine {
-                    let mut library = ProgramLibrary::new();
-                    let scheduler = scenario.build_from_stream(&mut library, stream);
-                    let mut machine = MispMachine::new(topology.clone(), self.config, library);
-                    if let Some(policy) = self.options.ring_policy {
-                        machine.engine_mut().platform_mut().set_policy(policy);
-                    }
-                    let pid = machine.add_process(scenario.name(), Box::new(scheduler), Some(0));
-                    for proc_idx in 1..topology.processors().len() {
-                        if !self.options.ams_span_only
-                            || !topology.processors()[proc_idx].ams().is_empty()
-                        {
-                            machine.add_thread(pid, Some(proc_idx));
-                        }
-                    }
-                    engine.add_machine(machine.into_sim_machine());
-                }
-                engine.run_fleet()
+    /// Assembles one MISP machine running `scheduler` as the application
+    /// process `name`, with the run's ring policy.  The application gets one
+    /// OS thread per processor (per processor with AMSs under
+    /// [`RunOptions::ams_span_only`]); competitor processes are placed by
+    /// the OS, and with any present only the application is measured.
+    fn misp_machine(
+        &self,
+        topology: &MispTopology,
+        mut library: ProgramLibrary,
+        name: &str,
+        scheduler: GangScheduler,
+    ) -> SimMachine<MispPlatform> {
+        let competitors = self.competitor_programs(&mut library);
+        let mut machine = MispMachine::new(topology.clone(), self.config, library);
+        if let Some(policy) = self.options.ring_policy {
+            machine.engine_mut().platform_mut().set_policy(policy);
+        }
+        let pid = machine.add_process(name, Box::new(scheduler), Some(0));
+        for (p, processor) in topology.processors().iter().enumerate().skip(1) {
+            if !self.options.ams_span_only || !processor.ams().is_empty() {
+                machine.add_thread(pid, Some(p));
             }
-            Machine::Smp { cores } => {
-                let mut engine = FleetEngine::new(fleet.network_latency());
-                for stream in &streams.per_machine {
-                    let mut library = ProgramLibrary::new();
-                    let scheduler = scenario.build_from_stream(&mut library, stream);
-                    let mut machine = SmpMachine::new(cores, self.config, library);
-                    let pid = machine.add_process(scenario.name(), Box::new(scheduler), Some(0));
-                    for core in 1..cores {
-                        machine.add_thread(pid, Some(core));
-                    }
-                    engine.add_machine(machine.into_sim_machine());
-                }
-                engine.run_fleet()
+        }
+        if !competitors.is_empty() {
+            for program in competitors {
+                let runtime = Box::new(competitor::competitor_runtime(program));
+                machine.add_process("competitor", runtime, None);
             }
-            Machine::Serial => {
-                let topology =
-                    MispTopology::uniprocessor(0).expect("single-sequencer topology is valid");
-                Run {
-                    machine: Machine::Misp(topology),
-                    ..self
-                }
-                .execute_fleet(fleet)
+            machine.set_measured(vec![pid]);
+        }
+        machine.into_sim_machine()
+    }
+
+    /// Assembles one SMP machine of `cores` cores running `scheduler` as
+    /// the application process `name` with one OS thread per core, plus the
+    /// run's competitor processes (see [`Run::misp_machine`]).
+    fn smp_machine(
+        &self,
+        cores: usize,
+        mut library: ProgramLibrary,
+        name: &str,
+        scheduler: GangScheduler,
+    ) -> SimMachine<SmpPlatform> {
+        let competitors = self.competitor_programs(&mut library);
+        let mut machine = SmpMachine::new(cores, self.config, library);
+        let pid = machine.add_process(name, Box::new(scheduler), Some(0));
+        for core in 1..cores {
+            machine.add_thread(pid, Some(core));
+        }
+        if !competitors.is_empty() {
+            for program in competitors {
+                let runtime = Box::new(competitor::competitor_runtime(program));
+                machine.add_process("competitor", runtime, None);
             }
+            machine.set_measured(vec![pid]);
+        }
+        machine.into_sim_machine()
+    }
+
+    /// Adds the run's competitor programs to `library`, after the
+    /// application's own.
+    fn competitor_programs(&self, library: &mut ProgramLibrary) -> Vec<ProgramRef> {
+        (0..self.options.competitors)
+            .map(|i| competitor::competitor_program(library, i, self.options.competitor_cycles))
+            .collect()
+    }
+}
+
+/// Co-simulates `machines` as one fleet under `fleet`'s network latency.
+fn run_fleet<P: Platform>(
+    fleet: &FleetTopology,
+    machines: impl Iterator<Item = SimMachine<P>>,
+) -> Result<FleetReport> {
+    let mut engine = FleetEngine::new(fleet.network_latency());
+    for machine in machines {
+        engine.add_machine(machine);
+    }
+    engine.run_fleet()
+}
+
+/// What a [`Machine`] is assembled as: [`Machine::Serial`] is the MISP
+/// uniprocessor with a single sequencer.
+enum Target {
+    Misp(MispTopology),
+    Smp(usize),
+}
+
+impl Machine {
+    fn target(&self) -> Target {
+        match self {
+            Machine::Misp(topology) => Target::Misp(topology.clone()),
+            Machine::Smp { cores } => Target::Smp(*cores),
+            Machine::Serial => Target::Misp(
+                MispTopology::uniprocessor(0).expect("single-sequencer topology is valid"),
+            ),
         }
     }
 }

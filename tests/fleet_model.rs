@@ -11,9 +11,10 @@
 
 use misp::core::{MispMachine, MispTopology};
 use misp::isa::ProgramLibrary;
-use misp::sim::{Event, FleetEngine, FleetReport, Mailbox, SimConfig};
+use misp::sim::{Event, FleetEngine, FleetReport, Mailbox, Platform, SimConfig};
+use misp::smp::SmpMachine;
 use misp::types::{Cycles, MachineId};
-use misp::workloads::{catalog, Run};
+use misp::workloads::{catalog, Machine, Run};
 use proptest::prelude::*;
 
 /// One scripted mailbox operation, decoded from a generated tuple.
@@ -104,47 +105,86 @@ proptest! {
     }
 }
 
-/// Builds the MISP uniprocessor machine the runner would for `workload`,
-/// ready to drop into a fleet.
-fn misp_machine(workload: &misp::workloads::Workload) -> MispMachine {
-    let topology = MispTopology::uniprocessor(7).unwrap();
+/// Builds the MISP machine the runner would for `workload` on `topology`
+/// (one application thread per processor), ready to drop into a fleet.
+fn misp_machine(workload: &misp::workloads::Workload, topology: MispTopology) -> MispMachine {
+    let processors = topology.processors().len();
     let mut library = ProgramLibrary::new();
     let scheduler = workload.build(&mut library, 8);
     let mut machine = MispMachine::new(topology, SimConfig::default(), library);
-    machine.add_process(workload.name(), Box::new(scheduler), Some(0));
+    let pid = machine.add_process(workload.name(), Box::new(scheduler), Some(0));
+    for p in 1..processors {
+        machine.add_thread(pid, Some(p));
+    }
     machine
 }
 
-/// A fleet of one replays the single-machine engine exactly: same completion
-/// time, same event-log digest — which is also what keeps every pre-fleet
-/// golden byte-identical.
+/// Builds the SMP machine the runner would for `workload` on `cores` cores
+/// (one application thread per core), ready to drop into a fleet.
+fn smp_machine(workload: &misp::workloads::Workload, cores: usize) -> SmpMachine {
+    let mut library = ProgramLibrary::new();
+    let scheduler = workload.build(&mut library, 8);
+    let mut machine = SmpMachine::new(cores, SimConfig::default(), library);
+    let pid = machine.add_process(workload.name(), Box::new(scheduler), Some(0));
+    for core in 1..cores {
+        machine.add_thread(pid, Some(core));
+    }
+    machine
+}
+
+/// Runs `machine` as the only member of a fleet.
+fn fleet_of_one<P: Platform>(machine: misp::sim::Machine<P>) -> FleetReport {
+    let mut fleet = FleetEngine::new(Cycles::new(200_000));
+    fleet.add_machine(machine);
+    fleet.run_fleet().unwrap()
+}
+
+/// A fleet of one replays the single-machine engine exactly, on every
+/// platform the runner assembles: same completion time, same event-log
+/// digest — which is also what keeps every pre-fleet golden byte-identical.
 #[test]
 fn a_fleet_of_one_reproduces_the_single_machine_engine() {
-    for workload in catalog::all().iter().take(4) {
-        let solo = Run::workload(workload)
-            .topology(MispTopology::uniprocessor(7).unwrap())
-            .execute()
-            .unwrap();
+    let platforms = [
+        Machine::misp(MispTopology::uniprocessor(7).unwrap()),
+        Machine::smp(8),
+        Machine::Serial,
+    ];
+    for platform in &platforms {
+        for workload in catalog::all().iter().take(4) {
+            let solo = Run::workload(workload)
+                .machine(platform.clone())
+                .execute()
+                .unwrap();
 
-        let mut fleet = FleetEngine::new(Cycles::new(200_000));
-        fleet.add_machine(misp_machine(workload).into_sim_machine());
-        let report = fleet.run_fleet().unwrap();
+            let report = match platform {
+                Machine::Misp(topology) => {
+                    fleet_of_one(misp_machine(workload, topology.clone()).into_sim_machine())
+                }
+                Machine::Smp { cores } => {
+                    fleet_of_one(smp_machine(workload, *cores).into_sim_machine())
+                }
+                Machine::Serial => {
+                    let topology = MispTopology::uniprocessor(0).unwrap();
+                    fleet_of_one(misp_machine(workload, topology).into_sim_machine())
+                }
+            };
 
-        let name = workload.name();
-        assert_eq!(report.reports.len(), 1, "{name}");
-        assert_eq!(
-            report.reports[0].total_cycles, solo.total_cycles,
-            "{name}: fleet-of-one completion time"
-        );
-        assert_eq!(
-            report.reports[0].log_digest, solo.log_digest,
-            "{name}: fleet-of-one event-log digest"
-        );
-        assert_eq!(
-            report.fleet_digest,
-            FleetReport::new(vec![solo.clone()]).fleet_digest,
-            "{name}: fleet digest is a pure function of the member digests"
-        );
+            let name = format!("{} on {platform:?}", workload.name());
+            assert_eq!(report.reports.len(), 1, "{name}");
+            assert_eq!(
+                report.reports[0].total_cycles, solo.total_cycles,
+                "{name}: fleet-of-one completion time"
+            );
+            assert_eq!(
+                report.reports[0].log_digest, solo.log_digest,
+                "{name}: fleet-of-one event-log digest"
+            );
+            assert_eq!(
+                report.fleet_digest,
+                FleetReport::new(vec![solo.clone()]).fleet_digest,
+                "{name}: fleet digest is a pure function of the member digests"
+            );
+        }
     }
 }
 
@@ -166,7 +206,9 @@ fn independent_fleet_members_replay_their_solo_runs() {
 
     let mut fleet = FleetEngine::new(Cycles::new(1_000));
     for w in &picks {
-        fleet.add_machine(misp_machine(w).into_sim_machine());
+        fleet.add_machine(
+            misp_machine(w, MispTopology::uniprocessor(7).unwrap()).into_sim_machine(),
+        );
     }
     let report = fleet.run_fleet().unwrap();
 
