@@ -1,134 +1,8 @@
-//! Shared infrastructure for the experiment formatter binaries.
-//!
-//! Each binary in `src/bin/` regenerates one table or figure of the MISP
-//! paper (see DESIGN.md's experiment index).  Since the sweep harness took
-//! over all run orchestration, a binary is just a grid declaration (from
-//! [`misp_harness::grids`]) plus a formatter; this library provides the
-//! formatting pieces — text tables and JSON result emission into the
-//! repository's `results/` directory — and re-exports the harness's shared
-//! experiment configuration so downstream code keeps a single import path.
+//! The MISP workspace's benchmarks live under `benches/`: criterion
+//! micro-benchmarks of the mechanisms and machines, and the `engine`
+//! wall-clock trajectory bench behind `BENCH_engine.json`.  The paper's
+//! tables and figures are reproduced by the harness's `sweep` binary
+//! (`sweep <grid>`, grids in `misp_harness::grids`), not here.  This
+//! library target is empty; it exists because a package needs one.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-use serde::Serialize;
-use std::path::PathBuf;
-
-pub use misp_harness::grids::{SEQUENCERS, WORKERS};
-pub use misp_harness::{config_with_signal, experiment_config};
-
-/// Formats a text table with a header row, column alignment and a separator.
-#[must_use]
-pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let mut out = String::new();
-    let header_line: Vec<String> = headers
-        .iter()
-        .enumerate()
-        .map(|(i, h)| format!("{:<width$}", h, width = widths[i]))
-        .collect();
-    out.push_str(&header_line.join("  "));
-    out.push('\n');
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
-    out.push('\n');
-    for row in rows {
-        let line: Vec<String> = row
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:<width$}", c, width = widths[i]))
-            .collect();
-        out.push_str(&line.join("  "));
-        out.push('\n');
-    }
-    out
-}
-
-/// Writes `value` as pretty JSON to `results/<name>.json` (relative to the
-/// workspace root if run from there, otherwise the current directory) and
-/// returns the path written.  Failures are reported but not fatal — the
-/// textual output on stdout is the primary artifact.
-pub fn write_json<T: Serialize>(name: &str, value: &T) -> Option<PathBuf> {
-    let dir = PathBuf::from("results");
-    if std::fs::create_dir_all(&dir).is_err() {
-        return None;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => match std::fs::write(&path, json) {
-            Ok(()) => Some(path),
-            Err(e) => {
-                eprintln!("warning: could not write {}: {e}", path.display());
-                None
-            }
-        },
-        Err(e) => {
-            eprintln!("warning: could not serialize {name}: {e}");
-            None
-        }
-    }
-}
-
-/// Fetches the simulation metrics of grid point `id`, panicking with a
-/// readable message when the record is missing — formatter binaries pair
-/// records by id, so a miss is a bug in the grid or the formatter.
-#[must_use]
-pub fn sim_metrics<'a>(
-    results: &'a misp_harness::SweepResults,
-    id: &str,
-) -> &'a misp_harness::SimMetrics {
-    results
-        .sim(id)
-        .unwrap_or_else(|| panic!("grid {} has no sim record {id:?}", results.grid))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use misp_types::{Cycles, SignalCost};
-
-    #[test]
-    fn experiment_config_uses_paper_signal_estimate() {
-        let c = experiment_config();
-        assert_eq!(c.costs.signal_cycles(), Cycles::new(5_000));
-        let ideal = config_with_signal(SignalCost::Ideal);
-        assert_eq!(ideal.costs.signal_cycles(), Cycles::ZERO);
-        assert_eq!(ideal.timer, c.timer);
-    }
-
-    #[test]
-    fn table_formatting_aligns_columns() {
-        let t = format_table(
-            &["name", "value"],
-            &[
-                vec!["a".to_string(), "1".to_string()],
-                vec!["longer-name".to_string(), "2.5".to_string()],
-            ],
-        );
-        let lines: Vec<&str> = t.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].starts_with("name"));
-        assert!(lines[2].starts_with("a "));
-        assert!(lines[3].starts_with("longer-name"));
-    }
-
-    #[test]
-    #[should_panic(expected = "has no sim record")]
-    fn sim_metrics_panics_on_missing_id() {
-        let results = misp_harness::run_grid(
-            &misp_harness::grids::fig6(),
-            &misp_harness::SweepOptions {
-                threads: 1,
-                verify: misp_harness::VerifyMode::Off,
-            },
-        )
-        .unwrap();
-        let _ = sim_metrics(&results, "nope");
-    }
-}

@@ -8,8 +8,9 @@
 //! ```
 //!
 //! The document goes to `--out`, to stdout with `--stdout`, or to stdout by
-//! default when no sink is named (the one-line run summary always goes to
-//! stderr).
+//! default when no sink is named.  Stderr is the human channel: it always
+//! gets a one-line run summary followed by the grid's text table — the
+//! paper figure the grid reproduces, with the paper's numbers beside ours.
 //!
 //! `--offered-load` applies only to the `service_load` scenario grid: it
 //! collapses every load axis of the grid to the given percentage of pool
@@ -101,6 +102,8 @@ fn usage() -> String {
          \u{20}            [--trace] [--metrics-interval CYCLES]   (both need --out)\n\
          \u{20}            [--profile]\n\
          \u{20}      sweep --list\n\
+         the results document goes to --out or stdout; the run summary and the\n\
+         grid's text table go to stderr\n\
          grids: {}",
         grids::all_names().join(", ")
     )
@@ -329,7 +332,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut options = SweepOptions::from_env();
+    let mut options = SweepOptions::default();
     if let Some(threads) = args.threads {
         options.threads = threads;
     }
@@ -362,6 +365,9 @@ fn main() -> ExitCode {
         options.threads,
         run_elapsed.as_secs_f64()
     );
+    if let Some(table) = grids::render(&results) {
+        eprint!("{table}");
+    }
 
     let write_started = std::time::Instant::now();
     // With no sink selected the document would be computed and discarded, so

@@ -1,7 +1,14 @@
-//! The named experiment grids: one per figure/table of the paper plus the
-//! two ablations, exactly the sweeps the `misp-bench` binaries render.
+//! The named experiment grids: one per figure/table of the paper, the two
+//! ablations, and the cache, service and fleet studies.
+//!
+//! Each grid is registered once, together with the renderer that turns its
+//! results into the figure's text table ([`render()`]); `sweep <grid>` runs it,
+//! writes the results document to `--out` or stdout, and prints the table to
+//! stderr.
 
+use crate::render;
 use crate::spec::{FleetSpec, GridSpec, MachineSpec, RunSpec, ScenarioSpec, SimSpec, TopologySpec};
+use crate::SweepResults;
 use misp_cache::CacheConfig;
 use misp_core::{LoadBalancerPolicy, RingPolicy};
 use misp_types::SignalCost;
@@ -485,41 +492,53 @@ pub fn fleet_service() -> GridSpec {
     grid
 }
 
+/// Every predefined grid, in a stable order: its name, its builder and the
+/// renderer of its text table.
+type Entry = (&'static str, fn() -> GridSpec, fn(&SweepResults) -> String);
+
+const GRIDS: &[Entry] = &[
+    ("fig4", fig4, render::fig4),
+    ("fig5", fig5, render::fig5),
+    ("fig6", fig6, render::fig6),
+    ("fig7", fig7, render::fig7),
+    ("table1", table1, render::table1),
+    ("table2", table2, render::table2),
+    ("ablation_ring0", ablation_ring0, render::ablation_ring0),
+    (
+        "ablation_pretouch",
+        ablation_pretouch,
+        render::ablation_pretouch,
+    ),
+    (
+        "cache_sensitivity",
+        cache_sensitivity,
+        render::cache_sensitivity,
+    ),
+    ("service_load", service_load, render::service),
+    ("fleet_service", fleet_service, render::service),
+];
+
+fn entry(name: &str) -> Option<&'static Entry> {
+    GRIDS.iter().find(|(grid, _, _)| *grid == name)
+}
+
 /// The names of every predefined grid, in a stable order.
 #[must_use]
 pub fn all_names() -> Vec<&'static str> {
-    vec![
-        "fig4",
-        "fig5",
-        "fig6",
-        "fig7",
-        "table1",
-        "table2",
-        "ablation_ring0",
-        "ablation_pretouch",
-        "cache_sensitivity",
-        "service_load",
-        "fleet_service",
-    ]
+    GRIDS.iter().map(|&(name, _, _)| name).collect()
 }
 
 /// Looks a predefined grid up by name.
 #[must_use]
 pub fn by_name(name: &str) -> Option<GridSpec> {
-    match name {
-        "fig4" => Some(fig4()),
-        "fig5" => Some(fig5()),
-        "fig6" => Some(fig6()),
-        "fig7" => Some(fig7()),
-        "table1" => Some(table1()),
-        "table2" => Some(table2()),
-        "ablation_ring0" => Some(ablation_ring0()),
-        "ablation_pretouch" => Some(ablation_pretouch()),
-        "cache_sensitivity" => Some(cache_sensitivity()),
-        "service_load" => Some(service_load()),
-        "fleet_service" => Some(fleet_service()),
-        _ => None,
-    }
+    entry(name).map(|(_, build, _)| build())
+}
+
+/// Renders `results` as the text table of the predefined grid it names
+/// (`results.grid`), or `None` for a grid that is not predefined.
+#[must_use]
+pub fn render(results: &SweepResults) -> Option<String> {
+    entry(&results.grid).map(|(_, _, render)| render(results))
 }
 
 #[cfg(test)]

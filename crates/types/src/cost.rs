@@ -207,9 +207,10 @@ impl Default for CostModel {
             yield_transfer: Cycles::new(200),
             shred_context_switch: Cycles::new(300),
             queue_lock: Cycles::new(120),
-            // 3 GHz * 1 ms Windows timer tick would be 3M cycles; the
-            // simulator runs scaled-down workloads, so the default tick is
-            // scaled correspondingly (see EXPERIMENTS.md).
+            // A 1 ms Windows timer tick at 3 GHz.  The tick is not scaled
+            // with the workloads, so timer interrupts shrink with run length
+            // like every other event count (see the README, "Reproducing
+            // the paper").
             timer_interval: Cycles::new(3_000_000),
         }
     }

@@ -13,8 +13,8 @@
 //! footprint (compulsory page faults), system-call profile and memory access
 //! pattern are chosen so that the workload exercises the same architectural
 //! code paths with the same event *shape* the paper reports in Table 1 (scaled
-//! down so a simulation completes in milliseconds rather than minutes; see
-//! EXPERIMENTS.md for the scaling discussion).
+//! down so a simulation completes in milliseconds rather than minutes; the
+//! README section "Reproducing the paper" discusses the scaling).
 //!
 //! Beyond the fixed-size catalog, the [`scenario`] module provides open-loop
 //! request-serving scenarios — seeded arrival streams served by a shred pool

@@ -71,15 +71,18 @@
 //!
 //! # Reproducing the paper
 //!
-//! Each table and figure has a dedicated binary in the `misp-bench` crate;
-//! see `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for the
-//! recorded paper-versus-measured comparison.  All of them are thin
-//! formatters over the [`harness`] crate's named experiment grids, which the
-//! `sweep` binary can also run directly:
+//! Each table and figure is a named experiment grid of the [`harness`]
+//! crate ([`harness::grids`] lists them, each with the renderer of its
+//! text table).  The `sweep` binary runs any of them, writes the results
+//! document to `--out` and prints the figure's table, with the paper's
+//! numbers beside ours, to stderr:
 //!
 //! ```text
-//! cargo run --release -p misp-harness --bin sweep -- fig4 --threads 8 --out results/fig4-sweep.json
+//! cargo run --release -p misp-harness --bin sweep -- fig4 --threads 8 --out results/fig4.json
 //! ```
+//!
+//! The README section "Reproducing the paper" lists every grid and explains
+//! how the workloads are scaled down from the paper's runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
